@@ -63,28 +63,19 @@ let start ?platform_config ?fs ?(fs_instances = 1) ?(no_fs = false) ?obs
                 base.M3fs.seed
           in
           let config = { base with M3fs.srv_name = name; seed } in
-          (* Program names carry the engine id: the program registry is
-             process-global, and two live engines must not resolve the
-             same "m3fs" entry to one engine's configuration. *)
-          let prog = Printf.sprintf "%s@e%d" name (Engine.id engine) in
-          M3fs.register ~prog_name:prog config;
-          ignore (Kernel.launch kernel ~name ~account:(Account.create ()) prog))
+          M3fs.register (Kernel.programs kernel) config;
+          ignore (Kernel.launch kernel ~name ~account:(Account.create ()) name))
         names;
       names
     end
   in
   { engine; platform; kernel; fs_services }
 
-(* Atomic: boot programs are launched from concurrent simulations on
-   different domains, and a duplicated name would overwrite another
-   run's entry in the process-global program registry. *)
-let counter = Atomic.make 0
-
 let launch t ~name ?account ?args ?on_vpe main =
   let prog_name =
-    Printf.sprintf "boot.%s.%d" name (Atomic.fetch_and_add counter 1 + 1)
+    Program.register_lambda (Kernel.programs t.kernel)
+      ~image_bytes:Program.default_image_bytes main
   in
-  Program.register ~name:prog_name ~image_bytes:Program.default_image_bytes main;
   let account = match account with Some a -> a | None -> Account.create () in
   Kernel.launch t.kernel ~name ~account ?args ?on_vpe prog_name
 

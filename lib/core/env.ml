@@ -38,6 +38,7 @@ type t = {
   image_bytes : int;
   args : Bytes.t;
   account : Account.t;
+  programs : programs;
   mutable next_sel : int;
   mutable spm_top : int;
   ep_slots : ep_slot array;
@@ -45,12 +46,24 @@ type t = {
   mutable spin_transfers : bool;
 }
 
+and program = {
+  prog_name : string;
+  prog_main : t -> int;
+  prog_image_bytes : int;
+}
+
+and programs = {
+  table : (string, program) Hashtbl.t;
+  mutable lambdas : int;
+}
+
 (* Uids key process-global state tables (VFS mounts, file notify
    state, EP counters); envs are created from concurrently running
    simulations on different domains, so minting must be atomic. *)
 let next_uid = Atomic.make 0
 
-let create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args ~account =
+let create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args ~account
+    ~programs =
   let general_eps = M3_dtu.Dtu.ep_count (Pe.dtu pe) - first_free_ep in
   {
     uid = Atomic.fetch_and_add next_uid 1 + 1;
@@ -64,6 +77,7 @@ let create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args ~account =
     image_bytes;
     args;
     account;
+    programs;
     next_sel = first_free_sel;
     spm_top = data_start;
     ep_slots = Array.make general_eps Ep_free;

@@ -65,6 +65,8 @@ type t = {
   image_bytes : int;  (** size of code + static data, for clone costs *)
   args : Bytes.t;     (** argument blob the parent passed along *)
   account : Account.t;
+  programs : programs;
+      (** the program table of this VPE's system, owned by its kernel *)
   mutable next_sel : int;
   mutable spm_top : int;
   ep_slots : ep_slot array; (** general EPs only, index 0 = EP 2 *)
@@ -74,9 +76,21 @@ type t = {
           equal-time spin so that only software contention remains *)
 }
 
+(** A program and its system's program table; see {!Program}. *)
+and program = {
+  prog_name : string;
+  prog_main : t -> int;
+  prog_image_bytes : int;
+}
+
+and programs = {
+  table : (string, program) Hashtbl.t;
+  mutable lambdas : int;  (** generated names minted so far *)
+}
+
 (** [create ~pe ~fabric ~kernel_pe ~vpe_id ~name ~image_bytes ~args
-    ~account] builds an environment; normally only the kernel calls
-    this when starting a VPE. *)
+    ~account ~programs] builds an environment; normally only the
+    kernel calls this when starting a VPE. *)
 val create :
   pe:M3_hw.Pe.t ->
   fabric:M3_noc.Fabric.t ->
@@ -86,6 +100,7 @@ val create :
   image_bytes:int ->
   args:Bytes.t ->
   account:Account.t ->
+  programs:programs ->
   t
 
 (** {1 Cycle charging}

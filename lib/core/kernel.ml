@@ -71,6 +71,7 @@ type t = {
   (* --- VPE scheduler state (None: time-multiplexing disabled) ------- *)
   sched : Sched.t option;
   envs : (int, Env.t) Hashtbl.t; (* started VPE -> its environment *)
+  programs : Program.table; (* this system's programs, by name *)
   images : (int, Vpe_image.t) Hashtbl.t; (* explicitly suspended, parked *)
   staging : (int, int * int * Core_type.t) Hashtbl.t;
       (* virtual VPE -> DRAM staging region (addr, size) + core class *)
@@ -107,6 +108,7 @@ let create ?sched platform ~kernel_pe =
     prober_running = false;
     sched;
     envs = Hashtbl.create 16;
+    programs = Program.create ();
     images = Hashtbl.create 8;
     staging = Hashtbl.create 8;
     pending_start = Hashtbl.create 8;
@@ -114,6 +116,8 @@ let create ?sched platform ~kernel_pe =
     susp_mem_caps = Hashtbl.create 8;
     last_out = Hashtbl.create 8;
   }
+
+let programs t = t.programs
 
 let kdtu t = Pe.dtu t.pe
 let kernel_pe_id t = Pe.id t.pe
@@ -629,7 +633,7 @@ let install_std_caps t vpe ~holder =
     | Error e, _ | _, Error e -> Error e)
 
 let start_program t vpe ~prog ~args =
-  match Program.find prog with
+  match Program.find t.programs prog with
   | None -> Error Errno.E_not_found
   | Some program ->
     let account =
@@ -642,11 +646,12 @@ let start_program t vpe ~prog ~args =
         ~pe:(Platform.pe t.platform vpe.v_pe)
         ~fabric:t.fabric ~kernel_pe:(kernel_pe_id t) ~vpe_id:vpe.v_id
         ~name:vpe.v_name ~image_bytes:program.prog_image_bytes ~args ~account
+        ~programs:t.programs
     in
     vpe.v_state <- V_running;
     Hashtbl.replace t.envs vpe.v_id env;
-    (* vpe.v_name, not the registered program name: the latter carries a
-       process-global launch counter and would break determinism. *)
+    (* vpe.v_name, not the registered program name: the latter is a
+       generated lambda/boot name for most VPEs. *)
     (let obs = M3_noc.Fabric.obs t.fabric in
      if Obs.enabled obs then
        Obs.emit obs
@@ -1346,7 +1351,7 @@ let h_vpe_start t requester r =
     match t.sched with
     | None -> reply_err Errno.E_inv_args
     | Some sched ->
-      if Program.find prog = None then reply_err Errno.E_not_found
+      if Program.find t.programs prog = None then reply_err Errno.E_not_found
       else if Hashtbl.mem t.pending_start vpe.v_id then reply_err Errno.E_exists
       else begin
         Hashtbl.replace t.pending_start vpe.v_id (prog, args);

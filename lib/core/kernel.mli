@@ -40,6 +40,11 @@ val create :
     NoC-level isolation. Returns an ivar filled once boot completes. *)
 val boot : t -> unit M3_sim.Process.Ivar.ivar
 
+(** [programs t] is this system's program table: every program a VPE
+    of this system can start ([vpe_start], exec, {!launch}) is looked
+    up here. *)
+val programs : t -> Program.table
+
 (** [launch t ~name ~account ?args ?on_vpe prog] starts registered
     program [prog] in a fresh VPE on a free general-purpose PE
     (boot-loader path, also used by the benchmark harness). Returns an

@@ -43,23 +43,6 @@ let default_config ~dram =
     emit_queue = false;
   }
 
-(* Registries are keyed by (engine id, service name), never by name
-   alone: several engines coexist in one process (bench sweeps, the
-   fig6x shard matrix, back-to-back tests), and with a name-only key a
-   later simulation would silently observe — or clobber — an earlier
-   run's server entry. Mutex-protected on top: engines run
-   concurrently on different domains (bench domain pool), and a racing
-   Hashtbl resize would corrupt every bucket. *)
-let images : (int * string, Fs_image.t) M3_sim.Locked.Table.t =
-  M3_sim.Locked.Table.create 4
-
-let engine_key engine srv_name = (M3_sim.Engine.id engine, srv_name)
-
-let image_of ~engine ~srv_name =
-  M3_sim.Locked.Table.find_opt images (engine_key engine srv_name)
-
-let current_image engine = image_of ~engine ~srv_name:program_name
-
 (* One open file of one session. [fo_open_size] is the size at open
    time: if the client dies without closing, blocks appended since then
    were never committed by an [Fs_close] and roll back. *)
@@ -106,26 +89,59 @@ type server = {
   mutable gen : int; (* bumped by Fs_drain; survives across drains *)
 }
 
-(* Server registry keyed like [images]: lets tests and the crash
-   harness check that dead clients' sessions were reaped. *)
-let servers : (int * string, server) M3_sim.Locked.Table.t =
-  M3_sim.Locked.Table.create 4
+(* Each simulation's m3fs instances, by service name — the server
+   record carries the image (white-box tests, fsck) and the session and
+   generation counters. Registries are found through their engine,
+   never by service name alone: several engines coexist in one process
+   (bench sweeps, the fig6x shard matrix, back-to-back tests), and with
+   a name-only key a later simulation would observe — or clobber — an
+   earlier run's server. The engine is held weakly (an ephemeron), so a
+   finished simulation's entries, and the DRAM its image lives in, are
+   freed with the simulation itself. Mutex-protected: engines run
+   concurrently on different domains (bench domain pool), and a racing
+   resize would corrupt every bucket. *)
+module By_engine = Ephemeron.K1.Make (struct
+  type t = M3_sim.Engine.t
+
+  let equal = ( == )
+  let hash e = Hashtbl.hash (M3_sim.Engine.id e)
+end)
+
+let servers : (string, server) Hashtbl.t By_engine.t = By_engine.create 8
+let servers_lock = Mutex.create ()
+
+let add_server engine t =
+  Mutex.protect servers_lock (fun () ->
+      let tbl =
+        match By_engine.find_opt servers engine with
+        | Some tbl -> tbl
+        | None ->
+          let tbl = Hashtbl.create 2 in
+          By_engine.replace servers engine tbl;
+          tbl
+      in
+      Hashtbl.replace tbl t.srv_name t)
+
+let server_of ~engine ~srv_name =
+  Mutex.protect servers_lock (fun () ->
+      Option.bind (By_engine.find_opt servers engine) (fun tbl ->
+          Hashtbl.find_opt tbl srv_name))
+
+let image_of ~engine ~srv_name =
+  Option.map (fun t -> t.fs) (server_of ~engine ~srv_name)
+
+let current_image engine = image_of ~engine ~srv_name:program_name
 
 let open_sessions ~engine ~srv_name =
-  match M3_sim.Locked.Table.find_opt servers (engine_key engine srv_name) with
-  | None -> None
-  | Some t -> Some (Hashtbl.length t.sessions)
+  Option.map
+    (fun t -> Hashtbl.length t.sessions)
+    (server_of ~engine ~srv_name)
 
 let generation ~engine ~srv_name =
-  match M3_sim.Locked.Table.find_opt servers (engine_key engine srv_name) with
-  | None -> None
-  | Some t -> Some t.gen
+  Option.map (fun t -> t.gen) (server_of ~engine ~srv_name)
 
 let forget ~engine =
-  let eid = M3_sim.Engine.id engine in
-  let drop tbl = M3_sim.Locked.Table.remove_if tbl (fun (e, _) _ -> e = eid) in
-  drop images;
-  drop servers
+  Mutex.protect servers_lock (fun () -> By_engine.remove servers engine)
 
 let charge_meta t ~scanned =
   Env.charge t.env Account.Os
@@ -602,7 +618,7 @@ let main (config : config) (env : Env.t) =
       (Gate.create_recv env ~slot_order:Fs_proto.srv_msg_order
          ~slot_count:Fs_proto.srv_slots)
   in
-  (* Register into [images]/[servers] only once the kernel accepted
+  (* Register with the engine's servers only once the kernel accepted
      the service name: a duplicate-named instance gets [E_exists] back
      and dies here without having clobbered the live instance's
      registry entries. *)
@@ -611,8 +627,6 @@ let main (config : config) (env : Env.t) =
       (Syscalls.create_srv env ~name:config.srv_name ~krgate_sel:krgate.rg_sel
          ~crgate_sel:crgate.rg_sel)
   in
-  let key = engine_key env.Env.engine config.srv_name in
-  M3_sim.Locked.Table.replace images key fs;
   let t =
     {
       env;
@@ -624,7 +638,7 @@ let main (config : config) (env : Env.t) =
       gen = 0;
     }
   in
-  M3_sim.Locked.Table.replace servers key t;
+  add_server env.Env.engine t;
   Log.debug (fun m ->
       m "%s up: %d blocks" config.srv_name (Fs_image.total_blocks fs));
   let obs = Fabric.obs env.Env.fabric in
@@ -705,6 +719,6 @@ let main (config : config) (env : Env.t) =
   in
   serve ()
 
-let register ?prog_name (config : config) =
-  let name = Option.value prog_name ~default:config.srv_name in
-  Program.register ~name ~image_bytes:(24 * 1024) (main config)
+let register programs (config : config) =
+  Program.register programs ~name:config.srv_name ~image_bytes:(24 * 1024)
+    (main config)

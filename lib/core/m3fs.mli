@@ -40,11 +40,10 @@ val default_config : dram:M3_mem.Store.t -> config
 (** Default service name in the registry ("m3fs"). *)
 val program_name : string
 
-(** [register config] (re)registers the program [config.srv_name]
-    (overridable via [prog_name], so several engines can hold distinct
-    configurations for the same service name) with this
-    configuration. *)
-val register : ?prog_name:string -> config -> unit
+(** [register programs config] (re)registers the program
+    [config.srv_name] with this configuration in a system's program
+    table ({!Kernel.programs}). *)
+val register : Program.table -> config -> unit
 
 (** [main config env] is the server body itself — exported so tests
     and the crash harness can run an instance under
@@ -58,8 +57,9 @@ val main : config -> Env.t -> int
 val current_image : M3_sim.Engine.t -> Fs_image.t option
 
 (** [image_of ~engine ~srv_name] — the image of a specific instance of
-    a specific simulation. State is keyed by {!M3_sim.Engine.id}, so
-    engines coexisting in one process never alias. *)
+    a specific simulation. State is found through the engine itself, so
+    engines coexisting in one process never alias, and it is freed
+    together with the engine. *)
 val image_of : engine:M3_sim.Engine.t -> srv_name:string -> Fs_image.t option
 
 (** [open_sessions ~engine ~srv_name] is the instance's live session
@@ -74,7 +74,7 @@ val open_sessions : engine:M3_sim.Engine.t -> srv_name:string -> int option
 val generation : engine:M3_sim.Engine.t -> srv_name:string -> int option
 
 (** [forget ~engine] drops every m3fs registry entry belonging to
-    [engine]. Long-lived processes that run many simulations (bench,
-    the harness sweeps) call this after inspecting a finished run so
-    the per-engine tables don't grow without bound. *)
+    [engine] right away, instead of when the engine is garbage
+    collected. Processes that run many simulations (bench, the harness
+    sweeps) call this after inspecting a finished run. *)
 val forget : engine:M3_sim.Engine.t -> unit

@@ -1,32 +1,28 @@
 type main = Env.t -> int
 
-type t = {
+type t = Env.program = {
   prog_name : string;
   prog_main : main;
   prog_image_bytes : int;
 }
 
-(* Process-global and touched from concurrent simulations (domain
-   pool, partitioned runs): the table is mutex-protected and lambda
-   names are minted atomically. *)
-let registry : (string, t) M3_sim.Locked.Table.t = M3_sim.Locked.Table.create 32
+type table = Env.programs
+
+let create () = { Env.table = Hashtbl.create 16; lambdas = 0 }
 
 let default_image_bytes = 16 * 1024
 
-let register ~name ~image_bytes main =
-  M3_sim.Locked.Table.replace registry name
+let register (tbl : table) ~name ~image_bytes main =
+  Hashtbl.replace tbl.table name
     { prog_name = name; prog_main = main; prog_image_bytes = image_bytes }
 
-let lambda_counter = Atomic.make 0
-
-let register_lambda ~image_bytes main =
-  let name =
-    Printf.sprintf "lambda.%d" (Atomic.fetch_and_add lambda_counter 1 + 1)
-  in
-  register ~name ~image_bytes main;
+let register_lambda (tbl : table) ~image_bytes main =
+  tbl.lambdas <- tbl.lambdas + 1;
+  let name = Printf.sprintf "lambda.%d" tbl.lambdas in
+  register tbl ~name ~image_bytes main;
   name
 
-let find name = M3_sim.Locked.Table.find_opt registry name
+let find (tbl : table) name = Hashtbl.find_opt tbl.table name
 
 let shebang name = "#!m3 " ^ name ^ "\n"
 

@@ -1,31 +1,42 @@
-(** Program registry — the simulator's stand-in for binaries.
+(** Program tables — the simulator's stand-in for binaries.
 
     In the prototype, starting a VPE means copying code into the target
     SPM and pointing the PE at the entry address. Here, "code" is an
-    OCaml function; the registry maps a program name (the token that
+    OCaml function; a program table maps a program name (the token that
     travels through the [vpe_start] syscall, or the content of an
     executable file's [#!m3 <name>] line) to that function plus the
-    image size whose copy the clone/exec paths charge for. *)
+    image size whose copy the clone/exec paths charge for.
+
+    Each simulated system has its own table, owned by its kernel
+    ({!Kernel.programs}) and reachable from every environment of that
+    system ([Env.programs]). Nothing is shared between systems, so a
+    finished system's programs die with it. *)
 
 (** A program: receives its environment, returns an exit code. *)
 type main = Env.t -> int
 
-type t = {
+type t = Env.program = {
   prog_name : string;
   prog_main : main;
   prog_image_bytes : int;
 }
 
-(** [register ~name ~image_bytes main] adds a program; re-registering a
-    name replaces it (tests rely on this). *)
-val register : name:string -> image_bytes:int -> main -> unit
+(** One system's program table. *)
+type table = Env.programs
 
-(** [register_lambda ~image_bytes main] registers under a fresh
-    generated name and returns that name — the clone ([VPE::run])
-    path. *)
-val register_lambda : image_bytes:int -> main -> string
+(** [create ()] is an empty table. *)
+val create : unit -> table
 
-val find : string -> t option
+(** [register tbl ~name ~image_bytes main] adds a program; re-registering
+    a name replaces it (tests rely on this). *)
+val register : table -> name:string -> image_bytes:int -> main -> unit
+
+(** [register_lambda tbl ~image_bytes main] registers under a fresh
+    generated name (["lambda.<n>"], counted per table) and returns that
+    name — the clone ([VPE::run]) path. *)
+val register_lambda : table -> image_bytes:int -> main -> string
+
+val find : table -> string -> t option
 
 (** Default image size charged for a program when unspecified
     (16 KiB — code plus static data in the 64 KiB SPM). *)

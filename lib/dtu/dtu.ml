@@ -820,26 +820,6 @@ let ack t ~ep ~slot =
 
 (* --- memory endpoints ------------------------------------------------ *)
 
-(* Memory endpoints DMA straight into the remote node's backing store
-   (via [store_of]) without an event-queue hop per byte; on a
-   partitioned engine that is only safe when both nodes execute on the
-   same partition — otherwise the blit races with the domain
-   concurrently simulating the remote node. A partitioning that splits
-   a DMA pair is a host configuration error, so fail loudly instead of
-   corrupting silently: message-passing traffic may cross partitions
-   freely, memory endpoints may not. *)
-let check_copartition t node =
-  let f = t.fabric in
-  if Fabric.partition_of f t.pe <> Fabric.partition_of f node then
-    invalid_arg
-      (Printf.sprintf
-         "Dtu: memory endpoint bridges pe%d (partition %d) and node %d \
-          (partition %d); direct DMA peers must share an engine partition"
-         t.pe
-         (Fabric.partition_of f t.pe)
-         node
-         (Fabric.partition_of f node))
-
 let mem_access t ~ep ~off ~len ~need =
   check_ep t ep;
   match t.eps.(ep) with
@@ -847,10 +827,7 @@ let mem_access t ~ep ~off ~len ~need =
     if not (Perm.subset need ~of_:m.m_perm) then Error Dtu_error.No_perm
     else if off < 0 || len < 0 || off + len > m.m_size then
       Error Dtu_error.Out_of_bounds
-    else begin
-      check_copartition t m.m_dst_pe;
-      Ok m
-    end
+    else Ok m
   | S_invalid | S_send _ | S_recv _ | S_park _ -> Error Dtu_error.Invalid_ep
 
 let read_mem t ~ep ~off ~local ~len =

@@ -224,7 +224,7 @@ let service_instances_bench ~clients ~instances:services =
               srv_name = name;
             }
           in
-          M3.M3fs.register cfg;
+          M3.M3fs.register (M3.Kernel.programs kernel) cfg;
           ignore
             (M3.Kernel.launch kernel ~name
                ~account:(M3_sim.Account.create ())
@@ -233,8 +233,8 @@ let service_instances_bench ~clients ~instances:services =
       let durations = Array.make clients 0 in
       let exits =
         List.init clients (fun k ->
-            let prog = Printf.sprintf "a5.client.%d.%d.%d" services k (Hashtbl.hash (Engine.now engine, k)) in
-            M3.Program.register ~name:prog
+            let prog = Printf.sprintf "a5.client.%d" k in
+            M3.Program.register (M3.Kernel.programs kernel) ~name:prog
               ~image_bytes:M3.Program.default_image_bytes (fun env ->
                 env.Env.spin_transfers <- true;
                 ok (Vfs.mount env ~path:"/" ~service:(srv_of k));

@@ -11,7 +11,6 @@ type config = {
   dram_size : int;
   noc : Fabric.config;
   core_at : int -> Core_type.t;
-  partition_of : (int -> int) option;
 }
 
 let default_config =
@@ -22,7 +21,6 @@ let default_config =
     dram_size = 64 * 1024 * 1024;
     noc = Fabric.default_config;
     core_at = (fun _ -> Core_type.General_purpose);
-    partition_of = None;
   }
 
 type t = {
@@ -38,10 +36,7 @@ type t = {
 let create ?(config = default_config) engine =
   if config.pe_count <= 0 then invalid_arg "Platform.create: no PEs";
   let topology = Topology.for_nodes (config.pe_count + 1) in
-  let fabric =
-    Fabric.create ?partition_of:config.partition_of engine topology
-      ~config:config.noc
-  in
+  let fabric = Fabric.create engine topology ~config:config.noc in
   let pes =
     Array.init config.pe_count (fun i ->
         Pe.create engine fabric ~id:i ~core:(config.core_at i)

@@ -16,11 +16,6 @@ type config = {
   noc : M3_noc.Fabric.config;
   (* [core_at i] picks the core type of PE [i]. *)
   core_at : int -> Core_type.t;
-  (* [partition_of node] maps a NoC node (PE ids, then the DRAM node)
-     to an engine partition — forwarded to {!M3_noc.Fabric.create} for
-     parallel host runs on a partitioned engine. [None] keeps every
-     node on partition 0. *)
-  partition_of : (int -> int) option;
 }
 
 (** 16 general-purpose PEs, 64 KiB SPMs, 8 EPs, 64 MiB DRAM. *)

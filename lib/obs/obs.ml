@@ -3,30 +3,8 @@ type sink = {
   sink_emit : at:int -> Event.t -> unit;
 }
 
-(* On a partitioned engine, events are staged per partition — each
-   buffer is touched only by the domain executing that partition — and
-   merged into the sinks at window barriers in (cycle, partition,
-   emission order) order. The merged stream is therefore identical for
-   any domain count; sinks themselves only ever run on the
-   coordinating domain. On a classic single-partition engine, emission
-   goes straight to the sinks, exactly as before. *)
-type staged = {
-  st_at : int;
-  st_part : int;
-  st_seq : int;
-  st_ev : Event.t;
-}
-
-type stage = {
-  mutable sg_rev : staged list;
-  mutable sg_seq : int;
-  mutable sg_msg : int; (* per-partition message-id counter *)
-}
-
 type t = {
   clock : unit -> int;
-  engine : M3_sim.Engine.t option;
-  stages : stage array; (* [||] on an unpartitioned bus *)
   mutable sinks : sink list;
   mutable enabled : bool;
   mutable next_msg : int;
@@ -34,60 +12,13 @@ type t = {
 }
 
 let null =
-  { clock = (fun () -> 0); engine = None; stages = [||]; sinks = [];
-    enabled = false; next_msg = 1; is_null = true }
+  { clock = (fun () -> 0); sinks = []; enabled = false; next_msg = 1;
+    is_null = true }
 
 let create ~clock =
-  { clock; engine = None; stages = [||]; sinks = []; enabled = false;
-    next_msg = 1; is_null = false }
+  { clock; sinks = []; enabled = false; next_msg = 1; is_null = false }
 
-let flush t =
-  if Array.length t.stages > 0 then begin
-    let staged =
-      Array.fold_left (fun acc sg ->
-          match sg.sg_rev with
-          | [] -> acc
-          | l ->
-            sg.sg_rev <- [];
-            List.rev_append l acc)
-        [] t.stages
-    in
-    match staged with
-    | [] -> ()
-    | staged ->
-      let staged =
-        List.sort
-          (fun a b ->
-            if a.st_at <> b.st_at then compare a.st_at b.st_at
-            else if a.st_part <> b.st_part then compare a.st_part b.st_part
-            else compare a.st_seq b.st_seq)
-          staged
-      in
-      List.iter
-        (fun s ->
-          List.iter (fun sink -> sink.sink_emit ~at:s.st_at s.st_ev) t.sinks)
-        staged
-  end
-
-let of_engine engine =
-  let partitions = M3_sim.Engine.partitions engine in
-  let t =
-    {
-      clock = (fun () -> M3_sim.Engine.now engine);
-      engine = Some engine;
-      stages =
-        (if partitions > 1 then
-           Array.init partitions (fun _ ->
-               { sg_rev = []; sg_seq = 0; sg_msg = 0 })
-         else [||]);
-      sinks = [];
-      enabled = false;
-      next_msg = 1;
-      is_null = false;
-    }
-  in
-  if partitions > 1 then M3_sim.Engine.at_barrier engine (fun () -> flush t);
-  t
+let of_engine engine = create ~clock:(fun () -> M3_sim.Engine.now engine)
 
 let enabled t = t.enabled
 
@@ -101,37 +32,16 @@ let detach_all t =
   t.sinks <- [];
   t.enabled <- false
 
-(* Partitioned minting is deterministic for any domain count: ids
-   carry the partition in their high digits and a per-partition
-   counter below, and a fixed partitioning assigns every send to the
-   same partition regardless of how partitions map onto domains.
-   Partition 0 mints the same 1, 2, 3, … a classic bus would. *)
-let partition_msg_stride = 10_000_000
-
 let next_msg t =
-  if not t.enabled then 0
-  else
-    match t.engine with
-    | Some e when Array.length t.stages > 0 ->
-      let sg = t.stages.(M3_sim.Engine.current_partition e) in
-      sg.sg_msg <- sg.sg_msg + 1;
-      (M3_sim.Engine.current_partition e * partition_msg_stride) + sg.sg_msg
-    | _ ->
-      let m = t.next_msg in
-      t.next_msg <- m + 1;
-      m
+  if t.enabled then begin
+    let m = t.next_msg in
+    t.next_msg <- m + 1;
+    m
+  end
+  else 0
 
 let emit_at t ~at ev =
-  if t.enabled then
-    match t.engine with
-    | Some e when Array.length t.stages > 0 ->
-      let part = M3_sim.Engine.current_partition e in
-      let sg = t.stages.(part) in
-      sg.sg_rev <-
-        { st_at = at; st_part = part; st_seq = sg.sg_seq; st_ev = ev }
-        :: sg.sg_rev;
-      sg.sg_seq <- sg.sg_seq + 1
-    | _ -> List.iter (fun s -> s.sink_emit ~at ev) t.sinks
+  if t.enabled then List.iter (fun s -> s.sink_emit ~at ev) t.sinks
 
 let emit t ev = if t.enabled then emit_at t ~at:(t.clock ()) ev
 

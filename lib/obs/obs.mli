@@ -29,12 +29,7 @@ val null : t
 (** [create ~clock] is a bus stamping events with [clock ()]. *)
 val create : clock:(unit -> int) -> t
 
-(** [of_engine e] stamps events with [Engine.now e]. On a partitioned
-    engine the bus buffers events per partition (each buffer owned by
-    the domain executing that partition) and delivers them to sinks at
-    window barriers, merged in (cycle, partition, emission-order)
-    order — so the sink stream, and the message ids drawn by
-    {!next_msg}, are byte-identical for any domain count. *)
+(** [of_engine e] stamps events with [Engine.now e]. *)
 val of_engine : M3_sim.Engine.t -> t
 
 (** [enabled t] is [true] iff at least one sink is attached. Emission

@@ -1,14 +1,15 @@
 (* Replica-level parallelism: run independent simulations on a small
    pool of OCaml domains.
 
-   The engine's partitioned mode parallelizes *within* one simulation;
-   this module parallelizes *across* simulations — the bench sweeps
-   and the warm-cache cells run several complete, independent systems
-   whose only shared state is the process-global registries (engine
-   ids, m3fs server tables, per-env state tables), all of which are
-   domain-safe (atomic ids, mutex-protected tables). Each thunk's
-   simulation stays fully deterministic: nothing about host scheduling
-   leaks into simulated time. *)
+   One simulation is one engine on one domain; this module
+   parallelizes *across* simulations — the bench sweeps and the
+   warm-cache cells run several complete, independent systems. They
+   share no mutable simulation state; the only process-wide tables
+   left are keyed by engine id or env uid (m3fs images and servers,
+   per-env libm3 state), and those are domain-safe (atomic ids,
+   mutex-protected tables). Each thunk's simulation stays fully
+   deterministic: nothing about host scheduling leaks into simulated
+   time. *)
 
 let run ~domains thunks =
   let jobs = Array.of_list thunks in

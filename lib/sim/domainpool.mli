@@ -1,11 +1,10 @@
 (** Replica-level parallelism: run independent simulations on a small
     pool of OCaml domains.
 
-    Complements the engine's partitioned mode (parallelism {e within}
-    one simulation): sweeps and multi-cell benchmarks run several
-    complete, independent systems concurrently. Results keep the input
-    order; each thunk's simulated outcome is identical to a sequential
-    run. *)
+    One simulation runs on one domain; sweeps and multi-cell
+    benchmarks run several complete, independent systems concurrently.
+    Results keep the input order; each thunk's simulated outcome is
+    identical to a sequential run. *)
 
 (** [run ~domains thunks] evaluates every thunk, using up to [domains]
     domains (including the caller's), and returns the results in input

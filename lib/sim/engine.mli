@@ -1,98 +1,44 @@
-(** Discrete-event simulation engine, optionally partitioned for
-    conservative parallel simulation on OCaml 5 domains.
+(** Discrete-event simulation engine.
 
     Time is measured in clock cycles (all PEs and the NoC share one
     clock domain, as on the Tomahawk MPSoC). Events are thunks run at a
-    given cycle; events scheduled for the same cycle run in FIFO order
-    within their partition.
-
-    A partitioned engine ([create ~partitions:n]) holds one sub-engine
-    (event heap + clock) per partition and advances all partitions in
-    lookahead-sized windows: within a window partitions run
-    independently (in parallel when [domains > 1]), and events posted
-    across partitions ({!schedule_on}) are committed at window
-    boundaries in deterministic (time, source partition, sequence)
-    order. A seeded run therefore commits the identical event schedule
-    regardless of the domain count. With the default single partition
-    the engine is the classic sequential event loop, bit-for-bit. *)
+    given cycle; events scheduled for the same cycle run in FIFO
+    order. *)
 
 type t
 
-(** [create ()] is a fresh engine at cycle 0. [partitions] is the
-    number of sub-engines (default 1); [domains] is how many OCaml
-    domains execute them (default 1, clamped to [partitions]). The
-    partition count is part of the simulated scenario — it determines
-    the committed event schedule — while the domain count is pure
-    host-side execution width. *)
-val create : ?partitions:int -> ?domains:int -> unit -> t
+(** [create ()] is a fresh engine at cycle 0. *)
+val create : unit -> t
 
 (** [id t] is a process-unique identifier, assigned at creation in
-    increasing order (atomically — engines are created from concurrent
-    domains). Registries that outlive a single simulation (e.g. the
-    m3fs server tables) key their entries by it so that several engines
-    in one process never alias each other's state. *)
+    increasing order (atomically: engines are created from concurrent
+    domains). The m3fs image and server tables key their entries by it
+    so that several engines in one process never alias each other's
+    state. *)
 val id : t -> int
 
-(** [partitions t] is the number of sub-engines. *)
-val partitions : t -> int
-
-(** [domains t] is the number of domains a run uses. *)
-val domains : t -> int
-
-(** [lookahead t] is the window length in cycles: the minimum latency
-    of any cross-partition event. *)
-val lookahead : t -> int
-
-(** [set_lookahead t n] declares the minimum cross-partition latency
-    [n >= 1]. The NoC fabric sets this to its hop latency; a
-    {!schedule_on} violating it raises. *)
-val set_lookahead : t -> int -> unit
-
-(** [now t] is the current simulation time of the caller's partition
-    (partition 0 when called from outside a run). *)
+(** [now t] is the current simulation time in cycles. *)
 val now : t -> int
 
-(** [current_partition t] is the partition the calling domain is
-    executing (0 outside a run). *)
-val current_partition : t -> int
-
-(** [schedule t ~delay f] runs [f] at cycle [now t + delay] on the
-    caller's partition.
+(** [schedule t ~delay f] runs [f] at cycle [now t + delay].
     @raise Invalid_argument if [delay < 0]. *)
 val schedule : t -> delay:int -> (unit -> unit) -> unit
 
 (** [schedule_at t ~time f] runs [f] at absolute cycle [time], which
-    must not lie in the caller's partition's past. *)
+    must not lie in the past. *)
 val schedule_at : t -> time:int -> (unit -> unit) -> unit
 
-(** [schedule_on t ~partition ~time f] runs [f] at cycle [time] on
-    [partition]. From a different partition mid-run this posts to the
-    target's inbound queue, and [time] must respect the lookahead
-    ([time >= now + lookahead]); on the home partition (or during
-    single-threaded setup) it is plain {!schedule_at}. *)
-val schedule_on : t -> partition:int -> time:int -> (unit -> unit) -> unit
-
-(** [with_partition t i f] runs [f] with partition [i] as the caller's
-    partition, so that [schedule]/[now]/process spawns target it. Used
-    to place setup code (and its processes) onto a partition. *)
-val with_partition : t -> int -> (unit -> 'a) -> 'a
-
-(** [at_barrier t hook] registers [hook] to run on the coordinating
-    domain after every window barrier of a partitioned run (and once at
-    the end of a single-partition run). The observability bus uses this
-    to merge per-partition event buffers deterministically. *)
-val at_barrier : t -> (unit -> unit) -> unit
-
-(** [run t] processes events until all queues are empty and returns the
-    final simulation time. *)
+(** [run t] processes events until the queue is empty and returns the
+    final simulation time.
+    @raise Invalid_argument if called from inside a run of [t]. *)
 val run : t -> int
 
 (** [run_until t ~time] processes events with timestamps [<= time];
-    afterwards every partition's clock is at least [time]. *)
+    afterwards [now t = time] if the queue ran dry earlier.
+    @raise Invalid_argument if called from inside a run of [t]. *)
 val run_until : t -> time:int -> unit
 
-(** [pending t] is the number of queued events (all partitions,
-    including uncommitted inbound events). *)
+(** [pending t] is the number of queued events. *)
 val pending : t -> int
 
 (** [processed t] is the total number of events executed so far. *)

@@ -1,13 +1,12 @@
 (* Mutex-protected hash tables for process-global registries.
 
-   Several simulator layers keep process-global tables keyed by engine
-   id or env uid (the m3fs image/server registries, per-env VFS and
-   file state, EP-multiplexer counters): entries of concurrent
-   simulations are disjoint by key, but [Hashtbl] itself is not safe
-   to mutate from two domains — a racing resize corrupts every bucket.
-   This wrapper makes those registries domain-safe without changing
-   their shape. The lock is per-table and uncontended in practice
-   (disjoint keys, short critical sections). *)
+   A few libm3 layers keep process-global tables keyed by env uid
+   (per-env VFS and file state, EP-multiplexer counters): entries of
+   concurrent simulations are disjoint by key, but [Hashtbl] itself is
+   not safe to mutate from two domains — a racing resize corrupts every
+   bucket. This wrapper makes those registries domain-safe without
+   changing their shape. The lock is per-table and uncontended in
+   practice (disjoint keys, short critical sections). *)
 
 module Table = struct
   type ('k, 'v) t = {
@@ -22,28 +21,4 @@ module Table = struct
   let find_opt t k = with_lock t (fun () -> Hashtbl.find_opt t.tbl k)
   let replace t k v = with_lock t (fun () -> Hashtbl.replace t.tbl k v)
   let add t k v = with_lock t (fun () -> Hashtbl.add t.tbl k v)
-  let remove t k = with_lock t (fun () -> Hashtbl.remove t.tbl k)
-  let mem t k = with_lock t (fun () -> Hashtbl.mem t.tbl k)
-  let length t = with_lock t (fun () -> Hashtbl.length t.tbl)
-
-  (* Snapshot-based iteration: callbacks run outside the lock, so they
-     may re-enter the table. *)
-  let bindings t =
-    with_lock t (fun () ->
-        Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.tbl [])
-
-  let iter t f = List.iter (fun (k, v) -> f k v) (bindings t)
-
-  let fold t f init =
-    List.fold_left (fun acc (k, v) -> f k v acc) init (bindings t)
-
-  (* [remove_if t f] drops every binding satisfying [f]. *)
-  let remove_if t f =
-    with_lock t (fun () ->
-        let doomed =
-          Hashtbl.fold
-            (fun k v acc -> if f k v then k :: acc else acc)
-            t.tbl []
-        in
-        List.iter (Hashtbl.remove t.tbl) doomed)
 end

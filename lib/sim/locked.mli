@@ -1,6 +1,6 @@
-(** Mutex-protected hash tables for process-global registries (engine
-    id / env uid keyed), making them safe to touch from concurrent
-    simulations on different domains. *)
+(** Mutex-protected hash tables for process-global registries (env uid
+    keyed), making them safe to touch from concurrent simulations on
+    different domains. *)
 
 module Table : sig
   type ('k, 'v) t
@@ -9,20 +9,4 @@ module Table : sig
   val find_opt : ('k, 'v) t -> 'k -> 'v option
   val replace : ('k, 'v) t -> 'k -> 'v -> unit
   val add : ('k, 'v) t -> 'k -> 'v -> unit
-  val remove : ('k, 'v) t -> 'k -> unit
-  val mem : ('k, 'v) t -> 'k -> bool
-  val length : ('k, 'v) t -> int
-
-  (** [bindings t] is a snapshot of all bindings, in no particular
-      order. *)
-  val bindings : ('k, 'v) t -> ('k * 'v) list
-
-  (** Snapshot-based: callbacks run outside the lock and may re-enter
-      the table. *)
-  val iter : ('k, 'v) t -> ('k -> 'v -> unit) -> unit
-
-  val fold : ('k, 'v) t -> ('k -> 'v -> 'acc -> 'acc) -> 'acc -> 'acc
-
-  (** [remove_if t f] drops every binding satisfying [f]. *)
-  val remove_if : ('k, 'v) t -> ('k -> 'v -> bool) -> unit
 end

@@ -22,10 +22,9 @@ type _ Effect.t +=
 
 (* The process currently executing, so that [wait]/[suspend] need no
    explicit handle. Domain-local: a process runs to its next effect
-   without interleaving *on its own domain*, but other domains run
-   their own processes concurrently — partitions of one parallel
-   engine, or independent engines on a domain pool — and a shared ref
-   would cross-wire their [wait]/[suspend] to the wrong process. *)
+   without interleaving *on its own domain*, but independent engines
+   on a domain pool run their own processes concurrently, and a shared
+   ref would cross-wire their [wait]/[suspend] to the wrong process. *)
 let current : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
@@ -104,7 +103,7 @@ let wait n =
   if n < 0 then invalid_arg "Process.wait: negative duration";
   let p = self () in
   check_killed p;
-  if n = 0 then Effect.perform (Wait (p, 0)) else Effect.perform (Wait (p, n))
+  Effect.perform (Wait (p, n))
 
 let suspend register =
   let p = self () in

@@ -230,6 +230,65 @@ let test_fig6x_warm_find () =
     true (Fig6x.warm_find_ok w);
   check_bool "warm run sees cache hits" true (w.Fig6x.wf_hit_rate > 0.0)
 
+(* --- finished systems are freed ---------------------------------------- *)
+
+(* Live heap growth across [f], after full major collections. *)
+let live_growth f =
+  Gc.full_major ();
+  let before = (Gc.stat ()).Gc.live_words in
+  f ();
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words - before
+
+let dram_words = 64 * 1024 * 1024 / (Sys.word_size / 8)
+
+let check_freed grown =
+  check_bool
+    (Printf.sprintf "live heap grew by %d words (< %d, one system's DRAM)"
+       grown dram_words)
+    true (grown < dram_words)
+
+(* A system's programs (the m3fs server closure holds its DRAM store)
+   live in that system's own program table, so nothing outlives the
+   run: four back-to-back 64 MiB systems must not keep even one DRAM
+   image live. *)
+let test_finished_systems_freed () =
+  let ok = M3.Errno.ok_exn in
+  let run_system ~clone =
+    ignore
+      (Runner.run_m3 ~dram_mib:64 (fun env ~measured ->
+           Runner.mounted env;
+           if clone then
+             measured (fun () ->
+                 let vpe =
+                   ok
+                     (M3.Vpe_api.create env ~name:"child"
+                        ~core:M3_hw.Core_type.General_purpose)
+                 in
+                 ok (M3.Vpe_api.run env vpe (fun _ -> 0));
+                 ignore (ok (M3.Vpe_api.wait env vpe)))))
+  in
+  check_freed
+    (live_growth (fun () ->
+         List.iter (fun clone -> run_system ~clone) [ false; true; false; false ]))
+
+(* Systems booted directly, whose m3fs registry entries nobody
+   [forget]s, are freed too: the registry holds the engine weakly. *)
+let test_unforgotten_systems_freed () =
+  check_freed
+    (live_growth (fun () ->
+         for _ = 1 to 4 do
+           let engine = M3_sim.Engine.create () in
+           let sys = M3.Bootstrap.start engine in
+           let exit =
+             M3.Bootstrap.launch sys ~name:"app" (fun env ->
+                 Runner.mounted env;
+                 0)
+           in
+           ignore (M3_sim.Engine.run engine);
+           M3.Bootstrap.expect_exit sys exit
+         done))
+
 let tc name f = Alcotest.test_case name `Quick f
 let slow name f = Alcotest.test_case name `Slow f
 
@@ -262,4 +321,10 @@ let suites =
     ( "repro.tables",
       [ tc "T1 syscall decomposition" test_t1; tc "T2 Xtensa vs ARM" test_t2 ]
     );
+    ( "repro.memory",
+      [
+        tc "finished systems are freed" test_finished_systems_freed;
+        tc "unforgotten m3fs registries are freed"
+          test_unforgotten_systems_freed;
+      ] );
   ]

@@ -348,12 +348,20 @@ let test_two_clients_share_m3fs () =
     | Error e -> Alcotest.failf "fsck: %s" e)
 
 let test_program_registry () =
-  Program.register ~name:"reg-test" ~image_bytes:1024 (fun _ -> 0);
-  check_bool "find" true (Program.find "reg-test" <> None);
-  check_bool "missing" true (Program.find "reg-missing" = None);
-  let n1 = Program.register_lambda ~image_bytes:1 (fun _ -> 1) in
-  let n2 = Program.register_lambda ~image_bytes:1 (fun _ -> 2) in
+  let tbl = Program.create () in
+  Program.register tbl ~name:"reg-test" ~image_bytes:1024 (fun _ -> 0);
+  check_bool "find" true (Program.find tbl "reg-test" <> None);
+  check_bool "missing" true (Program.find tbl "reg-missing" = None);
+  let n1 = Program.register_lambda tbl ~image_bytes:1 (fun _ -> 1) in
+  let n2 = Program.register_lambda tbl ~image_bytes:1 (fun _ -> 2) in
   check_bool "lambda names unique" true (n1 <> n2);
+  (* Tables are per system: another system's table sees none of
+     these, and mints its own lambda names from the start. *)
+  let other = Program.create () in
+  check_bool "tables are disjoint" true (Program.find other "reg-test" = None);
+  Alcotest.(check string)
+    "lambda names are counted per table" n1
+    (Program.register_lambda other ~image_bytes:1 (fun _ -> 3));
   Alcotest.(check (option string))
     "shebang roundtrip" (Some "reg-test")
     (Program.parse_shebang (Program.shebang "reg-test"));

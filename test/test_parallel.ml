@@ -1,14 +1,12 @@
-(* Tests for the parallel host engine: heap slot clearing, partitioned
-   windows with cross-partition delivery, the domain pool, and — the
-   load-bearing property — byte-identical simulated results at 1, 2
-   and 4 domains. *)
+(* Tests for host-side parallelism across simulations: heap slot
+   clearing, atomic id minting, the domain pool, and — the load-bearing
+   property — byte-identical simulated results when independent
+   replicas run at 1, 2 and 4 domains. *)
 
 module Engine = M3_sim.Engine
 module Heap = M3_sim.Heap
 module Domainpool = M3_sim.Domainpool
 module Obs = M3_obs.Obs
-module Fabric = M3_noc.Fabric
-module Topology = M3_noc.Topology
 module Runner = M3_harness.Runner
 module Fig6x = M3_harness.Fig6x
 
@@ -106,108 +104,6 @@ let test_domainpool_errors () =
   | _ -> Alcotest.fail "expected the thunk's exception to propagate"
   | exception Failure m -> Alcotest.(check string) "first error wins" "boom" m
 
-(* --- partitioned engine ----------------------------------------------- *)
-
-let test_lookahead_enforced () =
-  let e = Engine.create ~partitions:2 () in
-  Engine.set_lookahead e 5;
-  let violated = ref false and landed = ref false in
-  Engine.schedule_on e ~partition:0 ~time:10 (fun () ->
-      (* From partition 0 at cycle 10: cycle 12 is inside the 5-cycle
-         lookahead window, cycle 15 is exactly on the horizon. *)
-      (match Engine.schedule_on e ~partition:1 ~time:12 (fun () -> ()) with
-      | () -> ()
-      | exception Invalid_argument _ -> violated := true);
-      Engine.schedule_on e ~partition:1 ~time:15 (fun () -> landed := true));
-  ignore (Engine.run e);
-  check_bool "sub-lookahead delivery rejected" true !violated;
-  check_bool "on-horizon delivery committed" true !landed
-
-(* A deterministic token storm over 4 partitions: every event adds a
-   value derived from its (partition, time, ttl) into its partition's
-   private cell and forwards two tokens across partitions. The final
-   clock, event count and per-partition sums must not depend on the
-   domain count. *)
-let run_token_storm ~domains =
-  let parts = 4 in
-  let e = Engine.create ~partitions:parts ~domains () in
-  Engine.set_lookahead e 3;
-  let acc = Array.make parts 0 in
-  let rec hop ~p ~time ~ttl =
-    if ttl > 0 then
-      Engine.schedule_on e ~partition:p ~time (fun () ->
-          acc.(p) <- acc.(p) + (time * 7) + ttl;
-          let now = Engine.now e in
-          hop ~p:((p + 1) mod parts) ~time:(now + 3 + (ttl mod 5)) ~ttl:(ttl - 1);
-          hop ~p:((p + 3) mod parts) ~time:(now + 4) ~ttl:(ttl - 2))
-  in
-  for i = 0 to parts - 1 do
-    hop ~p:i ~time:(i + 1) ~ttl:12
-  done;
-  let final = Engine.run e in
-  (final, Engine.processed e, Array.to_list acc)
-
-let test_partition_determinism () =
-  let base = run_token_storm ~domains:1 in
-  let _, processed, _ = base in
-  check_bool "the storm actually ran" true (processed > 100);
-  List.iter
-    (fun domains ->
-      Alcotest.(check (triple int int (list int)))
-        (Printf.sprintf "token storm identical at %d domains" domains)
-        base
-        (run_token_storm ~domains))
-    [ 2; 4 ]
-
-(* --- cross-partition NoC traffic: byte-identical event logs ---------- *)
-
-(* Chained transfers over a fabric whose 8 nodes are spread across 4
-   engine partitions: each delivery re-sends from its destination, so
-   traffic keeps crossing partitions (transaction-level path) and
-   bouncing within them (full link model). The merged observability
-   log — link occupancies, transfer records, message ids — must be
-   byte-identical for any domain count. *)
-let run_fabric_storm ~domains =
-  let parts = 4 and nodes = 8 in
-  let e = Engine.create ~partitions:parts ~domains () in
-  let part_of n = n mod parts in
-  let fab =
-    Fabric.create ~partition_of:part_of e (Topology.for_nodes nodes)
-      ~config:Fabric.default_config
-  in
-  let obs = Obs.of_engine e in
-  let mem = Obs.Memory.create () in
-  Obs.attach obs (Obs.Memory.sink mem);
-  Fabric.set_obs fab obs;
-  let rec send ~src ~ttl =
-    if ttl > 0 then begin
-      let dst = (src + 1 + (ttl mod 5)) mod nodes in
-      let dst = if dst = src then (dst + 1) mod nodes else dst in
-      let msg = Obs.next_msg obs in
-      Fabric.transfer ~msg fab ~src ~dst ~bytes:(64 * ttl) ~on_deliver:(fun () ->
-          send ~src:dst ~ttl:(ttl - 1))
-    end
-  in
-  for src = 0 to nodes - 1 do
-    Engine.schedule_on e ~partition:(part_of src) ~time:src (fun () ->
-        send ~src ~ttl:10)
-  done;
-  let final = Engine.run e in
-  (final, Obs.Memory.count mem, Obs.Memory.to_string mem)
-
-let test_fabric_determinism () =
-  let f1, c1, log1 = run_fabric_storm ~domains:1 in
-  check_bool "traffic was traced" true (c1 > 50);
-  List.iter
-    (fun domains ->
-      let f, c, log = run_fabric_storm ~domains in
-      check_int (Printf.sprintf "final cycle at %d domains" domains) f1 f;
-      check_int (Printf.sprintf "event count at %d domains" domains) c1 c;
-      check_bool
-        (Printf.sprintf "event log byte-identical at %d domains" domains)
-        true (String.equal log1 log))
-    [ 2; 4 ]
-
 (* --- full-system replicas: byte-identical event logs ------------------ *)
 
 (* Each sim runs wholly inside one thunk on one domain, so the bus the
@@ -298,12 +194,6 @@ let suites =
           test_domainpool_order;
         Alcotest.test_case "domain pool propagates errors" `Quick
           test_domainpool_errors;
-        Alcotest.test_case "cross-partition lookahead is enforced" `Quick
-          test_lookahead_enforced;
-        Alcotest.test_case "partitioned engine: domain-count invariant" `Quick
-          test_partition_determinism;
-        Alcotest.test_case "cross-partition NoC: byte-identical logs" `Quick
-          test_fabric_determinism;
         Alcotest.test_case "full-system replicas: byte-identical logs" `Slow
           test_replica_determinism;
       ] );
