@@ -4,7 +4,9 @@
 
 type t
 
-(** [create ~name ~size] is a zero-filled store of [size] bytes. *)
+(** [create ~name ~size] is a zero-filled store of [size] bytes. The
+    zeros are lazy: host memory is taken one 64 KiB page at a time, on
+    the first write to each page, so creating a large DRAM is cheap. *)
 val create : name:string -> size:int -> t
 
 val name : t -> string

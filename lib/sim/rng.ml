@@ -4,7 +4,7 @@ let golden_gamma = 0x9E3779B97F4A7C15L
 
 let create ~seed = { state = Int64.of_int seed }
 
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30))
             0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27))
@@ -36,7 +36,14 @@ let float t =
   let raw = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
   raw /. 9007199254740992.0 (* 2^53 *)
 
+(* Byte for byte what [byte] returns (bits 2..9 of [bits64]), with the
+   state in an unboxed local that is stored back once. *)
 let fill_bytes t buf ~pos ~len =
+  let state = ref t.state in
   for i = pos to pos + len - 1 do
-    Bytes.unsafe_set buf i (Char.unsafe_chr (byte t))
-  done
+    state := Int64.add !state golden_gamma;
+    Bytes.unsafe_set buf i
+      (Char.unsafe_chr
+         (Int64.to_int (Int64.shift_right_logical (mix !state) 2) land 0xff))
+  done;
+  t.state <- !state

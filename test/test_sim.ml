@@ -264,6 +264,24 @@ let test_rng_fill_bytes () =
   check_bool "middle randomized" true
     (Bytes.sub_string buf 8 16 <> String.make 16 'z')
 
+(* [fill_bytes] is the byte stream of [byte]: file seeding and every
+   digest built on it depend on that. *)
+let test_rng_fill_bytes_stream () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun len ->
+          let filled = Rng.create ~seed and twin = Rng.create ~seed in
+          let buf = Bytes.make (len + 2) 'z' in
+          Rng.fill_bytes filled buf ~pos:1 ~len;
+          let expect = String.init len (fun _ -> Char.chr (Rng.byte twin)) in
+          let what = Printf.sprintf "seed %d len %d" seed len in
+          Alcotest.(check string) what expect (Bytes.sub_string buf 1 len);
+          Alcotest.(check int64)
+            (what ^ ": next bits64") (Rng.bits64 twin) (Rng.bits64 filled))
+        [ 0; 1; 7; 70_000 ])
+    [ 1; 3; 42 ]
+
 (* --- account / stats --- *)
 
 let test_account () =
@@ -378,6 +396,7 @@ let suites =
         tc "bounds respected" test_rng_bounds;
         tc "split gives independent stream" test_rng_split_independent;
         tc "fill_bytes stays in slice" test_rng_fill_bytes;
+        tc "fill_bytes is the byte stream" test_rng_fill_bytes_stream;
       ] );
     ( "sim.accounting",
       [
