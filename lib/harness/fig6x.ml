@@ -45,19 +45,21 @@ let bench_names_full = [ "find"; "untar" ]
 let shard_counts_full = [ 1; 2; 4 ]
 
 let queue_stats metrics =
-  let resolves = Metrics.shard_resolves metrics in
-  List.map
-    (fun (srv, s) ->
-      {
-        q_srv = srv;
-        q_samples = Stats.count s;
-        q_mean = Stats.mean s;
-        q_p95 = Stats.percentile s 95.0;
-        q_max = Stats.max s;
-        q_resolves =
-          (match List.assoc_opt srv resolves with Some n -> n | None -> 0);
-      })
-    (Metrics.fs_queues metrics)
+  List.filter_map
+    (fun (r : Metrics.row) ->
+      if r.name <> "fs.shard.queue" then None
+      else
+        let s = Metrics.hist metrics r.name r.label "depth" in
+        Some
+          {
+            q_srv = r.label;
+            q_samples = Stats.count s;
+            q_mean = Stats.mean s;
+            q_p95 = Stats.percentile s 95.0;
+            q_max = Stats.max s;
+            q_resolves = Metrics.count metrics "fs.shard.resolve" r.label;
+          })
+    (Metrics.rows metrics)
 
 (* One replay per fresh system; [primed] runs an unmeasured warming
    pass first. Round-trips are the mount's service-request counter,

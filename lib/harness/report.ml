@@ -165,177 +165,58 @@ let top n xs ~weight =
   in
   (take n sorted, max 0 (List.length xs - n))
 
+(* Busiest first: a row's first total (its cycles or bytes), else its
+   count. *)
+let weight (r : Metrics.row) =
+  match r.sums with (_, x) :: _ -> x | [] -> r.count
+
+(* Consecutive rows of one event name. *)
+let rec by_name = function
+  | [] -> []
+  | (r : Metrics.row) :: _ as rows ->
+    let mine, rest =
+      List.partition (fun (r' : Metrics.row) -> r'.name = r.name) rows
+    in
+    (r.name, mine) :: by_name rest
+
 let print_obs ppf m =
+  let rows = Metrics.rows m in
+  let width =
+    List.fold_left
+      (fun w (r : Metrics.row) ->
+        max w (max (String.length r.name) (2 + String.length r.label)))
+      4 rows
+  in
+  let line key count sums hists =
+    Format.fprintf ppf "  %-*s %8d" width key count;
+    List.iter
+      (fun (k, x) ->
+        Format.fprintf ppf "  %s %d" k x;
+        Option.iter
+          (fun st -> Format.fprintf ppf " (%s)" (pcts st))
+          (List.assoc_opt k hists))
+      sums;
+    Format.fprintf ppf "@."
+  in
   Format.fprintf ppf "Observability summary (%d events)@."
-    (Metrics.event_total m);
-  Format.fprintf ppf "  events by kind:@.";
+    (List.fold_left (fun n (r : Metrics.row) -> n + r.count) 0 rows);
+  Format.fprintf ppf "  %-*s %8s  totals (distribution)@." width "kind" "count";
   List.iter
-    (fun (kind, n) -> Format.fprintf ppf "    %-14s %8d@." kind n)
-    (Metrics.kinds m);
-  Format.fprintf ppf
-    "  dtu: %d msgs, %d wire bytes, %d dropped; mem %d B read, %d B written@."
-    (Metrics.dtu_sent_msgs m) (Metrics.dtu_sent_bytes m) (Metrics.dtu_dropped m)
-    (Metrics.mem_read_bytes m)
-    (Metrics.mem_written_bytes m);
-  Format.fprintf ppf "  noc: %d transfers, %d payload bytes, %d transfer cycles@."
-    (Metrics.noc_xfers m) (Metrics.noc_xfer_bytes m) (Metrics.noc_xfer_cycles m);
-  let pushed, popped = Metrics.pipe_bytes m in
-  if pushed > 0 || popped > 0 then
-    Format.fprintf ppf "  pipe: %d B pushed, %d B popped@." pushed popped;
-  Format.fprintf ppf "  vpes: %d created, %d exited@." (Metrics.vpes_created m)
-    (Metrics.vpes_exited m);
-  (match Metrics.endpoints m with
-  | [] -> ()
-  | eps ->
-    Format.fprintf ppf "  busiest send endpoints (pe,ep -> msgs, bytes):@.";
-    let shown, elided = top 8 eps ~weight:(fun (_, _, bytes) -> bytes) in
-    List.iter
-      (fun ((pe, ep), msgs, bytes) ->
-        Format.fprintf ppf "    pe%-2d ep%-2d  %6d msgs  %8d B@." pe ep msgs
-          bytes)
-      shown;
-    if elided > 0 then Format.fprintf ppf "    ... %d more@." elided);
-  (match Metrics.links m with
-  | [] -> ()
-  | links ->
-    Format.fprintf ppf
-      "  busiest links (src>dst -> busy cycles, queue delay):@.";
-    let shown, elided = top 8 links ~weight:(fun (_, busy, _) -> busy) in
-    List.iter
-      (fun ((src, dst), busy, queue) ->
-        Format.fprintf ppf "    %2d>%-2d  %8d busy  %s@." src dst busy
-          (pcts queue))
-      shown;
-    if elided > 0 then Format.fprintf ppf "    ... %d more@." elided);
-  (match Metrics.syscalls m with
-  | [] -> ()
-  | ops ->
-    Format.fprintf ppf "  syscall latency (cycles):@.";
-    List.iter
-      (fun (op, st) ->
-        Format.fprintf ppf "    %-14s %5d calls  %s@." op (Stats.count st)
-          (pcts st))
-      ops);
-  (match Metrics.fs_ops m with
-  | [] -> ()
-  | ops ->
-    Format.fprintf ppf "  m3fs handling latency (cycles):@.";
-    List.iter
-      (fun (op, st) ->
-        Format.fprintf ppf "    %-14s %5d reqs   %s@." op (Stats.count st)
-          (pcts st))
-      ops);
-  (match Metrics.fs_queues m with
-  | [] -> ()
-  | queues ->
-    Format.fprintf ppf "  m3fs queue depth at request pickup:@.";
-    let resolves = Metrics.shard_resolves m in
-    List.iter
-      (fun (srv, st) ->
-        Format.fprintf ppf "    %-14s %5d reqs   %s%s@." srv (Stats.count st)
-          (pcts st)
-          (match List.assoc_opt srv resolves with
-          | Some n -> Printf.sprintf "  (%d resolves)" n
-          | None -> ""))
-      queues);
-  (match Metrics.shard_resolves m with
-  | [] -> ()
-  | resolves when Metrics.fs_queues m <> [] ->
-    ignore resolves (* already folded into the queue table above *)
-  | resolves ->
-    Format.fprintf ppf "  shard resolutions:@.";
-    List.iter
-      (fun (srv, n) -> Format.fprintf ppf "    %-14s %8d@." srv n)
-      resolves);
-  (let hits = Metrics.cache_hits m
-   and misses = Metrics.cache_misses m
-   and invals = Metrics.cache_invals m in
-   if hits <> [] || misses <> [] || invals <> [] then begin
-     Format.fprintf ppf "  mount cache (hit rate %.0f%%):@."
-       (100.0 *. Metrics.cache_hit_rate m);
-     let n kind alist = Option.value ~default:0 (List.assoc_opt kind alist) in
-     let kinds =
-       List.sort_uniq compare
-         (List.map fst hits @ List.map fst misses @ List.map fst invals)
-     in
-     List.iter
-       (fun kind ->
-         Format.fprintf ppf "    %-14s %6d hits  %6d misses  %6d invals@."
-           kind (n kind hits) (n kind misses) (n kind invals))
-       kinds;
-     if Metrics.cache_flushes m > 0 then
-       Format.fprintf ppf "    %-14s %6d wholesale flushes@." ""
-         (Metrics.cache_flushes m)
-   end);
-  (if
-     Metrics.sched_suspends m > 0
-     || Metrics.sched_switches m > 0
-     || Metrics.sched_cold_starts m > 0
-   then begin
-     Format.fprintf ppf
-       "  sched: %d suspends (%d B captured), %d resumes (%d migrated), %d \
-        cold starts, %d switches@."
-       (Metrics.sched_suspends m)
-       (Metrics.sched_suspend_bytes m)
-       (Metrics.sched_resumes m)
-       (Metrics.sched_migrations m)
-       (Metrics.sched_cold_starts m)
-       (Metrics.sched_switches m);
-     match Metrics.pool_scales m with
-     | [] -> ()
-     | scales ->
-       Format.fprintf ppf "  pool scaling (pool -> ups, downs):@.";
-       List.iter
-         (fun (pool, ups, downs) ->
-           Format.fprintf ppf "    %-14s %5d up  %5d down@." pool ups downs)
-         scales
-   end);
-  (match Metrics.serve_latencies m with
-  | [] -> ()
-  | lats ->
-    Format.fprintf ppf "  serve pools (per pool):@.";
-    let queues = Metrics.serve_queues m
-    and batches = Metrics.serve_batches m
-    and rejects = Metrics.serve_rejects m
-    and restarts = Metrics.serve_restarts m in
-    let n pool alist = Option.value ~default:0 (List.assoc_opt pool alist) in
-    List.iter
-      (fun (pool, st) ->
-        Format.fprintf ppf "    %-14s %5d done   latency %s@." pool
-          (Stats.count st) (pcts st);
-        (match List.assoc_opt pool queues with
-        | Some q ->
-          Format.fprintf ppf "    %-14s queue depth at admit: %s@." "" (pcts q)
-        | None -> ());
-        (match List.assoc_opt pool batches with
-        | Some b ->
-          Format.fprintf ppf
-            "    %-14s %5d batches (mean size %.1f)@." "" (Stats.count b)
-            (Stats.mean b)
-        | None -> ());
-        let rej = n pool rejects and rst = n pool restarts in
-        if rej > 0 || rst > 0 then
-          Format.fprintf ppf "    %-14s %5d rejected, %d worker restarts@." ""
-            rej rst)
-      lats);
-  let throttles = Metrics.gw_throttles m
-  and breaks = Metrics.gw_breaks m
-  and upgrades = Metrics.gw_upgrades m in
-  if throttles <> [] || breaks <> [] || upgrades <> [] then begin
-    Format.fprintf ppf "  gateway:@.";
-    List.iter
-      (fun (pool, n) ->
-        Format.fprintf ppf "    %-14s %5d throttled@." pool n)
-      throttles;
-    List.iter
-      (fun (pool, trips, probes, closes) ->
-        Format.fprintf ppf
-          "    %-14s breaker: %d trips, %d probes, %d closes@." pool trips
-          probes closes)
-      breaks;
-    List.iter
-      (fun (target, st) ->
-        Format.fprintf ppf "    %-14s %5d upgrades  swap %s@." target
-          (Stats.count st) (pcts st))
-      upgrades
-  end
+    (fun (name, (rows : Metrics.row list)) ->
+      match rows with
+      | [ r ] when r.label = "" -> line name r.count r.sums r.hists
+      | r :: _ ->
+        let add = List.map2 (fun (k, a) (_, b) -> (k, a + b)) in
+        line name
+          (List.fold_left (fun n (r : Metrics.row) -> n + r.count) 0 rows)
+          (List.fold_left (fun acc (r : Metrics.row) -> add acc r.sums)
+             (List.map (fun (k, _) -> (k, 0)) r.sums)
+             rows)
+          [];
+        let shown, elided = if r.place then top 8 rows ~weight else (rows, 0) in
+        List.iter
+          (fun (r : Metrics.row) -> line ("  " ^ r.label) r.count r.sums r.hists)
+          shown;
+        if elided > 0 then Format.fprintf ppf "    ... %d more@." elided
+      | [] -> ())
+    (by_name rows)

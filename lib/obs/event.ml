@@ -70,147 +70,330 @@ type t =
   | Gw_upgrade of { pe : int; pool : string; target : string; cycles : int }
   | Kv_op of { pe : int; store : string; op : string; bucket : int; dup : bool }
 
-let name = function
-  | Dtu_send { reply = false; _ } -> "dtu.send"
-  | Dtu_send { reply = true; _ } -> "dtu.reply"
-  | Dtu_receive _ -> "dtu.receive"
-  | Dtu_drop _ -> "dtu.drop"
-  | Dtu_read _ -> "dtu.read"
-  | Dtu_write _ -> "dtu.write"
-  | Noc_xfer _ -> "noc.xfer"
-  | Noc_link _ -> "noc.link"
-  | Syscall_enter _ -> "syscall.enter"
-  | Syscall_exit _ -> "syscall.exit"
-  | Fs_request _ -> "fs.request"
-  | Fs_response _ -> "fs.response"
-  | Fs_shard _ -> "fs.shard.resolve"
-  | Fs_queue _ -> "fs.shard.queue"
-  | Fs_cache_hit _ -> "fs.cache.hit"
-  | Fs_cache_miss _ -> "fs.cache.miss"
-  | Fs_cache_inval _ -> "fs.cache.inval"
-  | Fs_cache_flush _ -> "fs.cache.flush"
-  | Fs_inval_send _ -> "fs.inval.send"
-  | Vpe_create _ -> "vpe.create"
-  | Vpe_start _ -> "vpe.start"
-  | Vpe_exit _ -> "vpe.exit"
-  | Pipe_push _ -> "pipe.push"
-  | Pipe_pop _ -> "pipe.pop"
-  | Pe_spawn _ -> "pe.spawn"
-  | Pe_halt _ -> "pe.halt"
-  | Fault_drop _ -> "fault.drop"
-  | Fault_corrupt _ -> "fault.corrupt"
-  | Fault_stall _ -> "fault.stall"
-  | Dtu_nack _ -> "dtu.nack"
-  | Dtu_retry _ -> "dtu.retry"
-  | Fault_pe_crash _ -> "fault.pe_crash"
-  | Vpe_crash _ -> "vpe.crash"
-  | Vpe_abort _ -> "vpe.abort"
-  | Vpe_restart _ -> "vpe.restart"
-  | Kernel_heartbeat _ -> "kernel.heartbeat"
-  | Serve_admit _ -> "serve.admit"
-  | Serve_reject _ -> "serve.reject"
-  | Serve_batch _ -> "serve.batch"
-  | Serve_done _ -> "serve.done"
-  | Serve_restart _ -> "serve.restart"
-  | Vpe_suspend _ -> "vpe.suspend"
-  | Vpe_resume _ -> "vpe.resume"
-  | Sched_switch _ -> "sched.switch"
-  | Pool_scale _ -> "pool.scale"
-  | Gw_throttle _ -> "gw.throttle"
-  | Gw_break { phase; _ } -> "gw.break." ^ phase
-  | Gw_upgrade _ -> "gw.upgrade"
-  | Kv_op { op; _ } -> "kv." ^ op
+
+type value =
+  | Id of int
+  | Int of int
+  | Sum of int
+  | Hist of int
+  | Flag of bool
+  | Text of string
+  | Time of int
+
+type track =
+  | Vpe of int * int
+  | Ep of int * int
+  | Mem of int
+  | Session of int * int
+  | Core of int
+  | Pe of int
+  | Xfer of int * int
+  | Link of int * int
+
+type span = Instant | Ending of int | Starting of int | Window of int * int
+type flow = No_flow | Flow_start of int | Flow_step of int | Flow_end of int
+type label = Unlabelled | Key of string | Place of string
+
+type desc = {
+  name : string;
+  cat : string;
+  track : track option;
+  title : string;
+  span : span;
+  flow : flow;
+  label : label;
+  fields : (string * value) list;
+}
+
+(* The common shape: a one-cycle marker, no flow, no label. *)
+let mark name cat track title fields =
+  {
+    name;
+    cat;
+    track = Some track;
+    title;
+    span = Instant;
+    flow = No_flow;
+    label = Unlabelled;
+    fields;
+  }
+
+let cache name pe kind =
+  {
+    (mark name "fs" (Pe pe) (name ^ ":" ^ kind)
+       [ ("pe", Id pe); ("kind", Text kind) ])
+    with
+    label = Key kind;
+  }
+
+let vpe_named name vpe pe prog =
+  mark name "vpe" (Vpe (pe, vpe)) (name ^ ":" ^ prog)
+    [ ("vpe", Id vpe); ("pe", Id pe); ("name", Text prog) ]
+
+let pipe name vpe pe bytes =
+  mark name "pipe" (Vpe (pe, vpe)) name
+    [ ("vpe", Id vpe); ("pe", Id pe); ("bytes", Sum bytes) ]
+
+(* Serving-pool and gateway events: a marker on the dispatcher's core
+   titled [<name>:<pool>], one row per pool. *)
+let serve name pe pool fields =
+  {
+    (mark name "serve" (Core pe) (name ^ ":" ^ pool)
+       (("pe", Id pe) :: ("pool", Text pool) :: fields))
+    with
+    label = Key pool;
+  }
+
+let describe = function
+  | Dtu_send { pe; ep; dst_pe; dst_ep; bytes; msg; reply } ->
+    let name, title =
+      if reply then ("dtu.reply", "reply") else ("dtu.send", "send")
+    in
+    {
+      (mark name "dtu" (Ep (pe, ep)) title
+         [ ("pe", Id pe); ("ep", Id ep); ("dst_pe", Int dst_pe);
+           ("dst_ep", Int dst_ep); ("bytes", Sum bytes); ("msg", Int msg) ])
+      with
+      flow = Flow_start msg;
+      label = Place (Printf.sprintf "pe%d.ep%d" pe ep);
+    }
+  | Dtu_receive { pe; ep; src_pe; bytes; msg } ->
+    {
+      (mark "dtu.receive" "dtu" (Ep (pe, ep)) "receive"
+         [ ("pe", Id pe); ("ep", Id ep); ("src_pe", Int src_pe);
+           ("bytes", Sum bytes); ("msg", Int msg) ])
+      with
+      flow = Flow_end msg;
+    }
+  | Dtu_drop { pe; ep; src_pe; msg; reason } ->
+    mark "dtu.drop" "dtu" (Ep (pe, ep)) ("drop:" ^ reason)
+      [ ("pe", Id pe); ("ep", Id ep); ("src_pe", Int src_pe); ("msg", Int msg);
+        ("reason", Text reason) ]
+  | Dtu_read { pe; mem_pe; bytes; msg } ->
+    {
+      (mark "dtu.read" "dtu" (Mem pe) "mem.read"
+         [ ("pe", Id pe); ("mem_pe", Int mem_pe); ("bytes", Sum bytes);
+           ("msg", Int msg) ])
+      with
+      flow = Flow_start msg;
+    }
+  | Dtu_write { pe; mem_pe; bytes; msg } ->
+    {
+      (mark "dtu.write" "dtu" (Mem pe) "mem.write"
+         [ ("pe", Id pe); ("mem_pe", Int mem_pe); ("bytes", Sum bytes);
+           ("msg", Int msg) ])
+      with
+      flow = Flow_start msg;
+    }
+  | Noc_xfer { src; dst; bytes; depart; arrive; msg } ->
+    {
+      (mark "noc.xfer" "noc" (Xfer (src, dst)) "xfer"
+         [ ("src", Id src); ("dst", Id dst); ("bytes", Sum bytes);
+           ("depart", Time depart); ("arrive", Time arrive); ("msg", Int msg) ])
+      with
+      span = Window (depart, arrive);
+      flow = Flow_step msg;
+    }
+  | Noc_link { link_src; link_dst; enter; leave; queued; msg } ->
+    {
+      (mark "noc.link" "noc" (Link (link_src, link_dst)) "hop"
+         [ ("link_src", Id link_src); ("link_dst", Id link_dst);
+           ("enter", Time enter); ("leave", Time leave);
+           ("queued", Hist queued); ("msg", Int msg) ])
+      with
+      span = Window (enter, leave);
+      label = Place (Printf.sprintf "%d>%d" link_src link_dst);
+    }
+  | Syscall_enter { pe; vpe; op } ->
+    (* The exit event carries the slice. *)
+    {
+      (mark "syscall.enter" "syscall" (Vpe (pe, vpe)) op
+         [ ("pe", Id pe); ("vpe", Id vpe); ("op", Text op) ])
+      with
+      track = None;
+    }
+  | Syscall_exit { pe; vpe; op; ok; cycles } ->
+    {
+      (mark "syscall.exit" "syscall" (Vpe (pe, vpe)) op
+         [ ("pe", Id pe); ("vpe", Id vpe); ("op", Text op); ("ok", Flag ok);
+           ("cycles", Time cycles) ])
+      with
+      span = Ending cycles;
+      label = Key op;
+    }
+  | Fs_request { pe; session; op } ->
+    (* The response event carries the slice. *)
+    {
+      (mark "fs.request" "fs" (Session (pe, session)) op
+         [ ("pe", Id pe); ("session", Id session); ("op", Text op) ])
+      with
+      track = None;
+    }
+  | Fs_response { pe; session; op; cycles } ->
+    {
+      (mark "fs.response" "fs" (Session (pe, session)) op
+         [ ("pe", Id pe); ("session", Id session); ("op", Text op);
+           ("cycles", Time cycles) ])
+      with
+      span = Ending cycles;
+      label = Key op;
+    }
+  | Fs_shard { pe; shard; srv } ->
+    {
+      (mark "fs.shard.resolve" "fs" (Pe pe) ("fs.shard:" ^ srv)
+         [ ("pe", Id pe); ("shard", Int shard); ("srv", Text srv) ])
+      with
+      label = Key srv;
+    }
+  | Fs_queue { pe; srv; depth } ->
+    {
+      (mark "fs.shard.queue" "fs" (Pe pe) ("fs.queue:" ^ srv)
+         [ ("pe", Id pe); ("srv", Text srv); ("depth", Hist depth) ])
+      with
+      label = Key srv;
+    }
+  | Fs_cache_hit { pe; kind } -> cache "fs.cache.hit" pe kind
+  | Fs_cache_miss { pe; kind } -> cache "fs.cache.miss" pe kind
+  | Fs_cache_inval { pe; kind } -> cache "fs.cache.inval" pe kind
+  | Fs_cache_flush { pe; gen; reason } ->
+    mark "fs.cache.flush" "fs" (Pe pe) ("fs.cache.flush:" ^ reason)
+      [ ("pe", Id pe); ("gen", Int gen); ("reason", Text reason) ]
+  | Fs_inval_send { pe; srv; session; kind } ->
+    {
+      (mark "fs.inval.send" "fs" (Session (pe, session))
+         (Printf.sprintf "fs.inval:%s:%s" srv kind)
+         [ ("pe", Id pe); ("srv", Text srv); ("session", Id session);
+           ("kind", Text kind) ])
+      with
+      label = Key srv;
+    }
+  | Vpe_create { vpe; pe; name } -> vpe_named "vpe.create" vpe pe name
+  | Vpe_start { vpe; pe; name } -> vpe_named "vpe.start" vpe pe name
+  | Vpe_exit { vpe; pe; code } ->
+    mark "vpe.exit" "vpe" (Vpe (pe, vpe)) "vpe.exit"
+      [ ("vpe", Id vpe); ("pe", Id pe); ("code", Int code) ]
+  | Pipe_push { vpe; pe; bytes } -> pipe "pipe.push" vpe pe bytes
+  | Pipe_pop { vpe; pe; bytes } -> pipe "pipe.pop" vpe pe bytes
+  | Pe_spawn { pe; name } ->
+    mark "pe.spawn" "pe" (Core pe) ("spawn:" ^ name)
+      [ ("pe", Id pe); ("name", Text name) ]
+  | Pe_halt { pe } -> mark "pe.halt" "pe" (Core pe) "halt" [ ("pe", Id pe) ]
+  | Fault_drop { src; dst; bytes; msg; reason } ->
+    mark "fault.drop" "fault" (Xfer (src, dst)) ("fault.drop:" ^ reason)
+      [ ("src", Id src); ("dst", Id dst); ("bytes", Sum bytes);
+        ("msg", Int msg); ("reason", Text reason) ]
+  | Fault_corrupt { src; dst; bytes; msg } ->
+    mark "fault.corrupt" "fault" (Xfer (src, dst)) "fault.corrupt"
+      [ ("src", Id src); ("dst", Id dst); ("bytes", Sum bytes);
+        ("msg", Int msg) ]
+  | Fault_stall { pe; cycles } ->
+    {
+      (mark "fault.stall" "fault" (Core pe) "fault.stall"
+         [ ("pe", Id pe); ("cycles", Time cycles) ])
+      with
+      span = Starting cycles;
+    }
+  | Dtu_nack { pe; ep; dst_pe; msg; reason } ->
+    mark "dtu.nack" "dtu" (Ep (pe, ep)) ("nack:" ^ reason)
+      [ ("pe", Id pe); ("ep", Id ep); ("dst_pe", Int dst_pe); ("msg", Int msg);
+        ("reason", Text reason) ]
+  | Dtu_retry { pe; dst_pe; msg; attempt; backoff } ->
+    mark "dtu.retry" "dtu" (Core pe) "retry"
+      [ ("pe", Id pe); ("dst_pe", Int dst_pe); ("msg", Int msg);
+        ("attempt", Int attempt); ("backoff", Sum backoff) ]
+  | Fault_pe_crash { pe } ->
+    mark "fault.pe_crash" "fault" (Core pe) "fault.pe_crash" [ ("pe", Id pe) ]
+  | Vpe_crash { vpe; pe } ->
+    mark "vpe.crash" "vpe" (Vpe (pe, vpe)) "vpe.crash"
+      [ ("vpe", Id vpe); ("pe", Id pe) ]
+  | Vpe_abort { vpe; pe; reason } ->
+    mark "vpe.abort" "vpe" (Vpe (pe, vpe)) ("vpe.abort:" ^ reason)
+      [ ("vpe", Id vpe); ("pe", Id pe); ("reason", Text reason) ]
+  | Vpe_restart { vpe; pe; name; attempt } ->
+    mark "vpe.restart" "vpe" (Vpe (pe, vpe)) ("vpe.restart:" ^ name)
+      [ ("vpe", Id vpe); ("pe", Id pe); ("name", Text name);
+        ("attempt", Int attempt) ]
+  | Kernel_heartbeat { pe; probed; dead } ->
+    mark "kernel.heartbeat" "kernel" (Core pe) "heartbeat"
+      [ ("pe", Id pe); ("probed", Sum probed); ("dead", Sum dead) ]
+  | Serve_admit { pe; pool; seq; depth } ->
+    serve "serve.admit" pe pool [ ("seq", Int seq); ("depth", Hist depth) ]
+  | Serve_reject { pe; pool; seq; depth } ->
+    serve "serve.reject" pe pool [ ("seq", Int seq); ("depth", Hist depth) ]
+  | Serve_batch { pe; pool; worker; size } ->
+    serve "serve.batch" pe pool [ ("worker", Int worker); ("size", Hist size) ]
+  | Serve_done { pe; pool; seq; cycles } ->
+    {
+      (serve "serve.done" pe pool [ ("seq", Int seq); ("cycles", Time cycles) ])
+      with
+      span = Ending cycles;
+    }
+  | Serve_restart { pe; pool; worker; attempt } ->
+    serve "serve.restart" pe pool
+      [ ("worker", Int worker); ("attempt", Int attempt) ]
+  | Vpe_suspend { vpe; pe; bytes } ->
+    mark "vpe.suspend" "sched" (Core pe)
+      (Printf.sprintf "vpe.suspend:vpe%d" vpe)
+      [ ("vpe", Int vpe); ("pe", Id pe); ("bytes", Sum bytes) ]
+  | Vpe_resume { vpe; pe; from_pe; cold } ->
+    {
+      (mark "vpe.resume" "sched" (Core pe)
+         (Printf.sprintf "vpe.resume:vpe%d" vpe)
+         [ ("vpe", Int vpe); ("pe", Id pe); ("from_pe", Int from_pe);
+           ("cold", Flag cold) ])
+      with
+      label =
+        Key
+          (if cold then "cold" else if pe <> from_pe then "migrated"
+           else "in place");
+    }
+  | Sched_switch { pe; out_vpe; in_vpe } ->
+    mark "sched.switch" "sched" (Core pe) "sched.switch"
+      [ ("pe", Id pe); ("out_vpe", Int out_vpe); ("in_vpe", Int in_vpe) ]
+  | Pool_scale { pe; pool; dir; active } ->
+    let dir = if dir > 0 then "up" else "down" in
+    {
+      (mark "pool.scale" "sched" (Core pe)
+         (Printf.sprintf "pool.scale:%s:%s" pool dir)
+         [ ("pe", Id pe); ("pool", Text pool); ("dir", Text dir);
+           ("active", Int active) ])
+      with
+      label = Key (pool ^ " " ^ dir);
+    }
+  | Gw_throttle { pe; pool; client; seq } ->
+    serve "gw.throttle" pe pool [ ("client", Int client); ("seq", Int seq) ]
+  | Gw_break { pe; pool; worker; phase } ->
+    serve ("gw.break." ^ phase) pe pool [ ("worker", Int worker) ]
+  | Gw_upgrade { pe; pool; target; cycles } ->
+    {
+      (mark "gw.upgrade" "serve" (Core pe)
+         (Printf.sprintf "gw.upgrade:%s:%s" pool target)
+         [ ("pe", Id pe); ("pool", Text pool); ("target", Text target);
+           ("cycles", Time cycles) ])
+      with
+      span = Ending cycles;
+      label = Key pool;
+    }
+  | Kv_op { pe; store; op; bucket; dup } ->
+    let name = "kv." ^ op in
+    {
+      (mark name "kv" (Core pe) (name ^ ":" ^ store)
+         [ ("pe", Id pe); ("store", Text store); ("bucket", Int bucket);
+           ("dup", Flag dup) ])
+      with
+      label = Key store;
+    }
+
+let name t = (describe t).name
+
+let pp_value ppf = function
+  | Id n | Int n | Sum n | Hist n | Time n -> Format.pp_print_int ppf n
+  | Flag b -> Format.pp_print_bool ppf b
+  | Text s -> Format.pp_print_string ppf s
 
 let pp ppf t =
-  let f fmt = Format.fprintf ppf fmt in
-  match t with
-  | Dtu_send { pe; ep; dst_pe; dst_ep; bytes; msg; reply } ->
-    f "%s pe%d.ep%d -> pe%d.ep%d bytes=%d msg=%d"
-      (if reply then "dtu.reply" else "dtu.send")
-      pe ep dst_pe dst_ep bytes msg
-  | Dtu_receive { pe; ep; src_pe; bytes; msg } ->
-    f "dtu.receive pe%d.ep%d <- pe%d bytes=%d msg=%d" pe ep src_pe bytes msg
-  | Dtu_drop { pe; ep; src_pe; msg; reason } ->
-    f "dtu.drop pe%d.ep%d <- pe%d msg=%d (%s)" pe ep src_pe msg reason
-  | Dtu_read { pe; mem_pe; bytes; msg } ->
-    f "dtu.read pe%d <- pe%d bytes=%d msg=%d" pe mem_pe bytes msg
-  | Dtu_write { pe; mem_pe; bytes; msg } ->
-    f "dtu.write pe%d -> pe%d bytes=%d msg=%d" pe mem_pe bytes msg
-  | Noc_xfer { src; dst; bytes; depart; arrive; msg } ->
-    f "noc.xfer %d -> %d bytes=%d depart=%d arrive=%d msg=%d" src dst bytes
-      depart arrive msg
-  | Noc_link { link_src; link_dst; enter; leave; queued; msg } ->
-    f "noc.link %d -> %d enter=%d leave=%d queued=%d msg=%d" link_src link_dst
-      enter leave queued msg
-  | Syscall_enter { pe; vpe; op } -> f "syscall.enter pe%d vpe%d %s" pe vpe op
-  | Syscall_exit { pe; vpe; op; ok; cycles } ->
-    f "syscall.exit pe%d vpe%d %s %s cycles=%d" pe vpe op
-      (if ok then "ok" else "err")
-      cycles
-  | Fs_request { pe; session; op } -> f "fs.request pe%d sess%d %s" pe session op
-  | Fs_response { pe; session; op; cycles } ->
-    f "fs.response pe%d sess%d %s cycles=%d" pe session op cycles
-  | Fs_shard { pe; shard; srv } -> f "fs.shard.resolve pe%d -> %s[%d]" pe srv shard
-  | Fs_queue { pe; srv; depth } -> f "fs.shard.queue pe%d %s depth=%d" pe srv depth
-  | Fs_cache_hit { pe; kind } -> f "fs.cache.hit pe%d %s" pe kind
-  | Fs_cache_miss { pe; kind } -> f "fs.cache.miss pe%d %s" pe kind
-  | Fs_cache_inval { pe; kind } -> f "fs.cache.inval pe%d %s" pe kind
-  | Fs_cache_flush { pe; gen; reason } ->
-    f "fs.cache.flush pe%d gen=%d (%s)" pe gen reason
-  | Fs_inval_send { pe; srv; session; kind } ->
-    f "fs.inval.send pe%d %s sess%d %s" pe srv session kind
-  | Vpe_create { vpe; pe; name } -> f "vpe.create vpe%d pe%d %s" vpe pe name
-  | Vpe_start { vpe; pe; name } -> f "vpe.start vpe%d pe%d %s" vpe pe name
-  | Vpe_exit { vpe; pe; code } -> f "vpe.exit vpe%d pe%d code=%d" vpe pe code
-  | Pipe_push { vpe; pe; bytes } -> f "pipe.push vpe%d pe%d bytes=%d" vpe pe bytes
-  | Pipe_pop { vpe; pe; bytes } -> f "pipe.pop vpe%d pe%d bytes=%d" vpe pe bytes
-  | Pe_spawn { pe; name } -> f "pe.spawn pe%d %s" pe name
-  | Pe_halt { pe } -> f "pe.halt pe%d" pe
-  | Fault_drop { src; dst; bytes; msg; reason } ->
-    f "fault.drop %d -> %d bytes=%d msg=%d (%s)" src dst bytes msg reason
-  | Fault_corrupt { src; dst; bytes; msg } ->
-    f "fault.corrupt %d -> %d bytes=%d msg=%d" src dst bytes msg
-  | Fault_stall { pe; cycles } -> f "fault.stall pe%d cycles=%d" pe cycles
-  | Dtu_nack { pe; ep; dst_pe; msg; reason } ->
-    f "dtu.nack pe%d.ep%d <- pe%d msg=%d (%s)" pe ep dst_pe msg reason
-  | Dtu_retry { pe; dst_pe; msg; attempt; backoff } ->
-    f "dtu.retry pe%d -> pe%d msg=%d attempt=%d backoff=%d" pe dst_pe msg attempt
-      backoff
-  | Fault_pe_crash { pe } -> f "fault.pe_crash pe%d" pe
-  | Vpe_crash { vpe; pe } -> f "vpe.crash vpe%d pe%d" vpe pe
-  | Vpe_abort { vpe; pe; reason } -> f "vpe.abort vpe%d pe%d (%s)" vpe pe reason
-  | Vpe_restart { vpe; pe; name; attempt } ->
-    f "vpe.restart vpe%d pe%d %s attempt=%d" vpe pe name attempt
-  | Kernel_heartbeat { pe; probed; dead } ->
-    f "kernel.heartbeat pe%d probed=%d dead=%d" pe probed dead
-  | Serve_admit { pe; pool; seq; depth } ->
-    f "serve.admit pe%d %s seq=%d depth=%d" pe pool seq depth
-  | Serve_reject { pe; pool; seq; depth } ->
-    f "serve.reject pe%d %s seq=%d depth=%d" pe pool seq depth
-  | Serve_batch { pe; pool; worker; size } ->
-    f "serve.batch pe%d %s worker=%d size=%d" pe pool worker size
-  | Serve_done { pe; pool; seq; cycles } ->
-    f "serve.done pe%d %s seq=%d cycles=%d" pe pool seq cycles
-  | Serve_restart { pe; pool; worker; attempt } ->
-    f "serve.restart pe%d %s worker=%d attempt=%d" pe pool worker attempt
-  | Vpe_suspend { vpe; pe; bytes } ->
-    f "vpe.suspend vpe%d pe%d bytes=%d" vpe pe bytes
-  | Vpe_resume { vpe; pe; from_pe; cold } ->
-    f "vpe.resume vpe%d pe%d from=%d%s" vpe pe from_pe
-      (if cold then " cold" else "")
-  | Sched_switch { pe; out_vpe; in_vpe } ->
-    f "sched.switch pe%d out=%d in=%d" pe out_vpe in_vpe
-  | Pool_scale { pe; pool; dir; active } ->
-    f "pool.scale pe%d %s %s active=%d" pe pool
-      (if dir > 0 then "up" else "down")
-      active
-  | Gw_throttle { pe; pool; client; seq } ->
-    f "gw.throttle pe%d %s client=%d seq=%d" pe pool client seq
-  | Gw_break { pe; pool; worker; phase } ->
-    f "gw.break.%s pe%d %s worker=%d" phase pe pool worker
-  | Gw_upgrade { pe; pool; target; cycles } ->
-    f "gw.upgrade pe%d %s %s cycles=%d" pe pool target cycles
-  | Kv_op { pe; store; op; bucket; dup } ->
-    f "kv.%s pe%d %s b%d%s" op pe store bucket (if dup then " dup" else "")
+  let d = describe t in
+  Format.pp_print_string ppf d.name;
+  List.iter (fun (k, v) -> Format.fprintf ppf " %s=%a" k pp_value v) d.fields
 
 let to_string t = Format.asprintf "%a" pp t

@@ -152,11 +152,75 @@ type t =
           [dup] marks a put skipped by the exactly-once dedup header.
           The event name is [kv.<op>]. *)
 
-(** [name t] is the stable dotted kind name, e.g. ["dtu.send"]. *)
+(** {1 Self-description}
+
+    [describe] is the one place that knows each constructor: the log
+    line, {!Metrics}, {!Chrome} and the harness summary are generic
+    folds over it, so adding an event touches only this module. *)
+
+(** A field's value, tagged with what the consumers do with it. Every
+    field shows in the log line; Chrome's [args] carry the [Int],
+    [Sum], [Hist] and [Flag] fields; {!Metrics} totals [Sum] and
+    [Hist] fields, counts [true] flags and keeps a distribution of
+    every [Hist] field. *)
+type value =
+  | Id of int  (** locates the event; the track already shows it *)
+  | Int of int  (** a plain number: ids, sequence numbers, attempts *)
+  | Sum of int  (** a quantity worth a total, e.g. bytes *)
+  | Hist of int  (** a quantity worth a distribution: depths, sizes *)
+  | Flag of bool
+  | Text of string  (** names and reasons; titles carry them *)
+  | Time of int  (** a cycle stamp or length the span is built from *)
+
+(** Where the Chrome exporter draws the event. *)
+type track =
+  | Vpe of int * int  (** [(pe, vpe)] *)
+  | Ep of int * int  (** [(pe, ep)]: a DTU endpoint *)
+  | Mem of int  (** a PE's memory-endpoint traffic *)
+  | Session of int * int  (** [(pe, session)]: m3fs request handling *)
+  | Core of int  (** the PE's core: kernel, scheduler, dispatcher *)
+  | Pe of int  (** the PE's own row *)
+  | Xfer of int * int  (** NoC transfers from [src] to [dst] *)
+  | Link of int * int  (** one directed NoC link *)
+
+(** The simulated time an event covers. [Instant] is a one-cycle
+    marker at the emission cycle; the others are slices whose length
+    {!Metrics} records as the field ["cycles"]. *)
+type span =
+  | Instant
+  | Ending of int  (** [n] cycles ending at the emission cycle *)
+  | Starting of int  (** [n] cycles starting at the emission cycle *)
+  | Window of int * int  (** absolute cycles [\[start, stop)] *)
+
+(** The event's part in a message's flow arrow (by [msg] id; id 0 draws
+    none): sends start it, NoC transfers step through it mid-slice and
+    receives end it. *)
+type flow = No_flow | Flow_start of int | Flow_step of int | Flow_end of int
+
+(** The row an event counts into under its name. [Key] values come
+    from a small vocabulary (operations, pools, services, kinds);
+    [Place] values are locations (endpoints, links) that grow with the
+    machine, so summaries show only the busiest. *)
+type label = Unlabelled | Key of string | Place of string
+
+type desc = {
+  name : string;  (** stable dotted kind name, e.g. ["dtu.send"] *)
+  cat : string;  (** Chrome category *)
+  track : track option;  (** [None]: not drawn; a later event is *)
+  title : string;  (** Chrome slice name *)
+  span : span;
+  flow : flow;
+  label : label;
+  fields : (string * value) list;  (** the payload, in record order *)
+}
+
+val describe : t -> desc
+
+(** [name t] is [(describe t).name]. *)
 val name : t -> string
 
-(** Stable, deterministic rendering — the determinism test compares
-    byte-for-byte. *)
+(** Stable, deterministic rendering, [name key=value ...] over the
+    described fields — the determinism test compares byte-for-byte. *)
 val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string

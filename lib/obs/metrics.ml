@@ -1,314 +1,101 @@
 module Stats = M3_sim.Stats
 
-type t = {
-  mutable events : int;
-  kinds : (string, int ref) Hashtbl.t;
-  ep_msgs : (int * int, int ref) Hashtbl.t;
-  ep_bytes : (int * int, int ref) Hashtbl.t;
-  link_busy : (int * int, int ref) Hashtbl.t;
-  link_queue : (int * int, Stats.t) Hashtbl.t;
-  syscall_lat : (string, Stats.t) Hashtbl.t;
-  fs_lat : (string, Stats.t) Hashtbl.t;
-  fs_queue : (string, Stats.t) Hashtbl.t;
-  shard_hits : (string, int ref) Hashtbl.t;
-  cache_hits : (string, int ref) Hashtbl.t;
-  cache_misses : (string, int ref) Hashtbl.t;
-  cache_invals : (string, int ref) Hashtbl.t;
-  inval_sends : (string, int ref) Hashtbl.t;
-  mutable cache_flushes : int;
-  serve_queue : (string, Stats.t) Hashtbl.t;
-  serve_batch : (string, Stats.t) Hashtbl.t;
-  serve_lat : (string, Stats.t) Hashtbl.t;
-  serve_rejects : (string, int ref) Hashtbl.t;
-  serve_restarts : (string, int ref) Hashtbl.t;
-  mutable dtu_sent_msgs : int;
-  mutable dtu_sent_bytes : int;
-  mutable dtu_dropped : int;
-  mutable mem_read_bytes : int;
-  mutable mem_written_bytes : int;
-  mutable noc_xfers : int;
-  mutable noc_xfer_bytes : int;
-  mutable noc_xfer_cycles : int;
-  mutable pipe_pushed : int;
-  mutable pipe_popped : int;
-  mutable vpes_created : int;
-  mutable vpes_exited : int;
-  mutable faults_injected : int;
-  mutable dtu_nacks : int;
-  mutable dtu_retries : int;
-  mutable sched_suspends : int;
-  mutable sched_resumes : int;
-  mutable sched_migrations : int;
-  mutable sched_cold_starts : int;
-  mutable sched_switches : int;
-  mutable sched_suspend_bytes : int;
-  pool_scale_ups : (string, int ref) Hashtbl.t;
-  pool_scale_downs : (string, int ref) Hashtbl.t;
-  gw_throttles : (string, int ref) Hashtbl.t;
-  gw_trips : (string, int ref) Hashtbl.t;
-  gw_probes : (string, int ref) Hashtbl.t;
-  gw_closes : (string, int ref) Hashtbl.t;
-  gw_upgrade_lat : (string, Stats.t) Hashtbl.t;
-  kv_op_counts : (string, int ref) Hashtbl.t;
-  kv_dup_counts : (string, int ref) Hashtbl.t;
+type row = {
+  name : string;
+  label : string;
+  place : bool;
+  count : int;
+  sums : (string * int) list;
+  hists : (string * Stats.t) list;
 }
 
-let create () =
-  {
-    events = 0;
-    kinds = Hashtbl.create 24;
-    ep_msgs = Hashtbl.create 32;
-    ep_bytes = Hashtbl.create 32;
-    link_busy = Hashtbl.create 64;
-    link_queue = Hashtbl.create 64;
-    syscall_lat = Hashtbl.create 16;
-    fs_lat = Hashtbl.create 8;
-    fs_queue = Hashtbl.create 8;
-    shard_hits = Hashtbl.create 8;
-    cache_hits = Hashtbl.create 4;
-    cache_misses = Hashtbl.create 4;
-    cache_invals = Hashtbl.create 4;
-    inval_sends = Hashtbl.create 4;
-    cache_flushes = 0;
-    serve_queue = Hashtbl.create 4;
-    serve_batch = Hashtbl.create 4;
-    serve_lat = Hashtbl.create 4;
-    serve_rejects = Hashtbl.create 4;
-    serve_restarts = Hashtbl.create 4;
-    dtu_sent_msgs = 0;
-    dtu_sent_bytes = 0;
-    dtu_dropped = 0;
-    mem_read_bytes = 0;
-    mem_written_bytes = 0;
-    noc_xfers = 0;
-    noc_xfer_bytes = 0;
-    noc_xfer_cycles = 0;
-    pipe_pushed = 0;
-    pipe_popped = 0;
-    vpes_created = 0;
-    vpes_exited = 0;
-    faults_injected = 0;
-    dtu_nacks = 0;
-    dtu_retries = 0;
-    sched_suspends = 0;
-    sched_resumes = 0;
-    sched_migrations = 0;
-    sched_cold_starts = 0;
-    sched_switches = 0;
-    sched_suspend_bytes = 0;
-    pool_scale_ups = Hashtbl.create 4;
-    pool_scale_downs = Hashtbl.create 4;
-    gw_throttles = Hashtbl.create 4;
-    gw_trips = Hashtbl.create 4;
-    gw_probes = Hashtbl.create 4;
-    gw_closes = Hashtbl.create 4;
-    gw_upgrade_lat = Hashtbl.create 4;
-    kv_op_counts = Hashtbl.create 4;
-    kv_dup_counts = Hashtbl.create 4;
-  }
+type acc = {
+  mutable n : int;
+  totals : (string * int ref) list;
+  dists : (string * Stats.t) list;
+}
 
-let bump tbl key n =
-  match Hashtbl.find_opt tbl key with
-  | Some r -> r := !r + n
-  | None -> Hashtbl.add tbl key (ref n)
+type t = (string * string, bool * acc) Hashtbl.t
 
-let observe tbl key x =
-  let s =
-    match Hashtbl.find_opt tbl key with
-    | Some s -> s
-    | None ->
-      let s = Stats.create () in
-      Hashtbl.add tbl key s;
-      s
+let create () : t = Hashtbl.create 64
+
+(* [f key amount distribution?] for everything an event adds to its
+   row: the span's length as ["cycles"], then the declared fields. *)
+let iter_amounts f (d : Event.desc) =
+  (match d.Event.span with
+  | Event.Instant -> ()
+  | Event.Ending n | Event.Starting n -> f "cycles" n true
+  | Event.Window (a, b) -> f "cycles" (b - a) true);
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Event.Sum n -> f k n false
+      | Event.Hist n -> f k n true
+      | Event.Flag b -> f k (Bool.to_int b) false
+      | Event.Id _ | Event.Int _ | Event.Text _ | Event.Time _ -> ())
+    d.Event.fields
+
+let fresh d =
+  let totals = ref [] and dists = ref [] in
+  iter_amounts
+    (fun k _ dist ->
+      totals := (k, ref 0) :: !totals;
+      if dist then dists := (k, Stats.create ()) :: !dists)
+    d;
+  { n = 0; totals = List.rev !totals; dists = List.rev !dists }
+
+let record t ev =
+  let d = Event.describe ev in
+  let label, place =
+    match d.Event.label with
+    | Event.Unlabelled -> ("", false)
+    | Event.Key l -> (l, false)
+    | Event.Place l -> (l, true)
   in
-  Stats.add s x
-
-let record t (ev : Event.t) =
-  t.events <- t.events + 1;
-  bump t.kinds (Event.name ev) 1;
-  match ev with
-  | Event.Dtu_send { pe; ep; bytes; _ } ->
-    bump t.ep_msgs (pe, ep) 1;
-    bump t.ep_bytes (pe, ep) bytes;
-    t.dtu_sent_msgs <- t.dtu_sent_msgs + 1;
-    t.dtu_sent_bytes <- t.dtu_sent_bytes + bytes
-  | Event.Dtu_drop _ -> t.dtu_dropped <- t.dtu_dropped + 1
-  | Event.Dtu_read { bytes; _ } -> t.mem_read_bytes <- t.mem_read_bytes + bytes
-  | Event.Dtu_write { bytes; _ } ->
-    t.mem_written_bytes <- t.mem_written_bytes + bytes
-  | Event.Noc_xfer { bytes; depart; arrive; _ } ->
-    t.noc_xfers <- t.noc_xfers + 1;
-    t.noc_xfer_bytes <- t.noc_xfer_bytes + bytes;
-    t.noc_xfer_cycles <- t.noc_xfer_cycles + (arrive - depart)
-  | Event.Noc_link { link_src; link_dst; enter; leave; queued; _ } ->
-    bump t.link_busy (link_src, link_dst) (leave - enter);
-    observe t.link_queue (link_src, link_dst) (float_of_int queued)
-  | Event.Syscall_exit { op; cycles; _ } ->
-    observe t.syscall_lat op (float_of_int cycles)
-  | Event.Fs_response { op; cycles; _ } ->
-    observe t.fs_lat op (float_of_int cycles)
-  | Event.Fs_shard { srv; _ } -> bump t.shard_hits srv 1
-  | Event.Fs_cache_hit { kind; _ } -> bump t.cache_hits kind 1
-  | Event.Fs_cache_miss { kind; _ } -> bump t.cache_misses kind 1
-  | Event.Fs_cache_inval { kind; _ } -> bump t.cache_invals kind 1
-  | Event.Fs_cache_flush _ -> t.cache_flushes <- t.cache_flushes + 1
-  | Event.Fs_inval_send { srv; _ } -> bump t.inval_sends srv 1
-  | Event.Fs_queue { srv; depth; _ } ->
-    observe t.fs_queue srv (float_of_int depth)
-  | Event.Pipe_push { bytes; _ } -> t.pipe_pushed <- t.pipe_pushed + bytes
-  | Event.Pipe_pop { bytes; _ } -> t.pipe_popped <- t.pipe_popped + bytes
-  | Event.Vpe_create _ -> t.vpes_created <- t.vpes_created + 1
-  | Event.Vpe_exit _ -> t.vpes_exited <- t.vpes_exited + 1
-  | Event.Fault_drop _ | Event.Fault_corrupt _ | Event.Fault_stall _
-  | Event.Fault_pe_crash _ ->
-    t.faults_injected <- t.faults_injected + 1
-  | Event.Dtu_nack _ -> t.dtu_nacks <- t.dtu_nacks + 1
-  | Event.Dtu_retry _ -> t.dtu_retries <- t.dtu_retries + 1
-  | Event.Serve_admit { pool; depth; _ } ->
-    observe t.serve_queue pool (float_of_int depth)
-  | Event.Serve_reject { pool; depth; _ } ->
-    observe t.serve_queue pool (float_of_int depth);
-    bump t.serve_rejects pool 1
-  | Event.Serve_batch { pool; size; _ } ->
-    observe t.serve_batch pool (float_of_int size)
-  | Event.Serve_done { pool; cycles; _ } ->
-    observe t.serve_lat pool (float_of_int cycles)
-  | Event.Serve_restart { pool; _ } -> bump t.serve_restarts pool 1
-  | Event.Vpe_suspend { bytes; _ } ->
-    t.sched_suspends <- t.sched_suspends + 1;
-    t.sched_suspend_bytes <- t.sched_suspend_bytes + bytes
-  | Event.Vpe_resume { pe; from_pe; cold; _ } ->
-    t.sched_resumes <- t.sched_resumes + 1;
-    if cold then t.sched_cold_starts <- t.sched_cold_starts + 1
-    else if pe <> from_pe then t.sched_migrations <- t.sched_migrations + 1
-  | Event.Sched_switch _ -> t.sched_switches <- t.sched_switches + 1
-  | Event.Pool_scale { pool; dir; _ } ->
-    bump (if dir > 0 then t.pool_scale_ups else t.pool_scale_downs) pool 1
-  | Event.Gw_throttle { pool; _ } -> bump t.gw_throttles pool 1
-  | Event.Gw_break { pool; phase; _ } ->
-    let tbl =
-      match phase with
-      | "trip" -> t.gw_trips
-      | "probe" -> t.gw_probes
-      | _ -> t.gw_closes
-    in
-    bump tbl pool 1
-  | Event.Gw_upgrade { pool; cycles; _ } ->
-    observe t.gw_upgrade_lat pool (float_of_int cycles)
-  | Event.Kv_op { op; dup; _ } ->
-    bump t.kv_op_counts op 1;
-    if dup then bump t.kv_dup_counts op 1
-  (* Aborted VPEs still emit Vpe_exit, so the abort marker itself only
-     counts into the per-kind table. *)
-  | Event.Dtu_receive _ | Event.Syscall_enter _ | Event.Fs_request _
-  | Event.Vpe_start _ | Event.Pe_spawn _ | Event.Pe_halt _ | Event.Vpe_crash _
-  | Event.Vpe_abort _ | Event.Vpe_restart _ | Event.Kernel_heartbeat _ ->
-    ()
+  let acc =
+    match Hashtbl.find_opt t (d.Event.name, label) with
+    | Some (_, acc) -> acc
+    | None ->
+      let acc = fresh d in
+      Hashtbl.add t (d.Event.name, label) (place, acc);
+      acc
+  in
+  acc.n <- acc.n + 1;
+  iter_amounts
+    (fun k x dist ->
+      let r = List.assoc k acc.totals in
+      r := !r + x;
+      if dist then Stats.add (List.assoc k acc.dists) (float_of_int x))
+    d
 
 let sink t =
   { Obs.sink_name = "metrics"; sink_emit = (fun ~at:_ ev -> record t ev) }
 
-let sorted_bindings tbl =
-  List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+let rows t =
+  List.sort
+    (fun a b -> compare (a.name, a.label) (b.name, b.label))
+    (Hashtbl.fold
+       (fun (name, label) (place, acc) rows ->
+         {
+           name;
+           label;
+           place;
+           count = acc.n;
+           sums = List.map (fun (k, r) -> (k, !r)) acc.totals;
+           hists = acc.dists;
+         }
+         :: rows)
+       t [])
 
-let event_total t = t.events
-let kinds t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.kinds)
+let find t name label = Option.map snd (Hashtbl.find_opt t (name, label))
+let count t name label = match find t name label with Some a -> a.n | None -> 0
 
-let endpoints t =
-  List.map
-    (fun (key, msgs) ->
-      let bytes =
-        match Hashtbl.find_opt t.ep_bytes key with Some r -> !r | None -> 0
-      in
-      (key, !msgs, bytes))
-    (sorted_bindings t.ep_msgs)
+let sum t name label key =
+  match find t name label with
+  | Some a -> ( match List.assoc_opt key a.totals with Some r -> !r | None -> 0)
+  | None -> 0
 
-let links t =
-  List.map
-    (fun (key, busy) ->
-      let queue =
-        match Hashtbl.find_opt t.link_queue key with
-        | Some s -> s
-        | None -> Stats.create ()
-      in
-      (key, !busy, queue))
-    (sorted_bindings t.link_busy)
-
-let syscalls t = sorted_bindings t.syscall_lat
-let fs_ops t = sorted_bindings t.fs_lat
-let fs_queues t = sorted_bindings t.fs_queue
-let shard_resolves t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.shard_hits)
-let cache_hits t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.cache_hits)
-let cache_misses t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.cache_misses)
-let cache_invals t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.cache_invals)
-let inval_sends t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.inval_sends)
-let cache_flushes t = t.cache_flushes
-
-let cache_hit_rate t =
-  let total tbl = Hashtbl.fold (fun _ r acc -> acc + !r) tbl 0 in
-  let hits = total t.cache_hits and misses = total t.cache_misses in
-  if hits + misses = 0 then 0.0
-  else float_of_int hits /. float_of_int (hits + misses)
-let serve_queues t = sorted_bindings t.serve_queue
-let serve_batches t = sorted_bindings t.serve_batch
-let serve_latencies t = sorted_bindings t.serve_lat
-let serve_rejects t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.serve_rejects)
-let serve_restarts t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.serve_restarts)
-
-let dtu_sent_msgs t = t.dtu_sent_msgs
-let dtu_sent_bytes t = t.dtu_sent_bytes
-let dtu_dropped t = t.dtu_dropped
-let mem_read_bytes t = t.mem_read_bytes
-let mem_written_bytes t = t.mem_written_bytes
-let noc_xfers t = t.noc_xfers
-let noc_xfer_bytes t = t.noc_xfer_bytes
-let noc_xfer_cycles t = t.noc_xfer_cycles
-let pipe_bytes t = (t.pipe_pushed, t.pipe_popped)
-let vpes_created t = t.vpes_created
-let vpes_exited t = t.vpes_exited
-let faults_injected t = t.faults_injected
-let dtu_nacks t = t.dtu_nacks
-let dtu_retries t = t.dtu_retries
-
-let sched_suspends t = t.sched_suspends
-let sched_resumes t = t.sched_resumes
-let sched_migrations t = t.sched_migrations
-let sched_cold_starts t = t.sched_cold_starts
-let sched_switches t = t.sched_switches
-let sched_suspend_bytes t = t.sched_suspend_bytes
-
-let pool_scales t =
-  let pools =
-    List.sort_uniq compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) t.pool_scale_ups []
-      @ Hashtbl.fold (fun k _ acc -> k :: acc) t.pool_scale_downs [])
-  in
-  List.map
-    (fun pool ->
-      let n tbl =
-        match Hashtbl.find_opt tbl pool with Some r -> !r | None -> 0
-      in
-      (pool, n t.pool_scale_ups, n t.pool_scale_downs))
-    pools
-
-let gw_throttles t =
-  List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.gw_throttles)
-
-let gw_breaks t =
-  let pools =
-    List.sort_uniq compare
-      (Hashtbl.fold (fun k _ acc -> k :: acc) t.gw_trips []
-      @ Hashtbl.fold (fun k _ acc -> k :: acc) t.gw_probes []
-      @ Hashtbl.fold (fun k _ acc -> k :: acc) t.gw_closes [])
-  in
-  List.map
-    (fun pool ->
-      let n tbl =
-        match Hashtbl.find_opt tbl pool with Some r -> !r | None -> 0
-      in
-      (pool, n t.gw_trips, n t.gw_probes, n t.gw_closes))
-    pools
-
-let gw_upgrades t = sorted_bindings t.gw_upgrade_lat
-let kv_ops t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.kv_op_counts)
-let kv_dups t = List.map (fun (k, r) -> (k, !r)) (sorted_bindings t.kv_dup_counts)
+let hist t name label key =
+  match Option.bind (find t name label) (fun a -> List.assoc_opt key a.dists) with
+  | Some s -> s
+  | None -> Stats.create ()

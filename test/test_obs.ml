@@ -242,9 +242,9 @@ let test_counter_consistency () =
   Alcotest.(check int) "Xfer charge equals traced NoC occupancy"
     m.Runner.m_xfer !traced_xfer;
   (* The metrics sink saw the same syscall. *)
-  Alcotest.(check bool)
-    "metrics recorded the noop" true
-    (List.mem_assoc "noop" (Metrics.syscalls metrics))
+  Alcotest.(check int)
+    "metrics recorded the noop" 1
+    (Metrics.count metrics "syscall.exit" "noop")
 
 let suites =
   [

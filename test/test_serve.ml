@@ -383,17 +383,11 @@ let test_admission_rejects_overload () =
   check_bool "backlog was batched" true (st.Pool.p_batches < st.Pool.p_batched);
   (* The serve.* events landed in the metrics sink. *)
   check_int "metrics saw the rejects" st.Pool.p_rejected
-    (match List.assoc_opt "adm" (Metrics.serve_rejects metrics) with
-    | Some n -> n
-    | None -> 0);
-  (match List.assoc_opt "adm" (Metrics.serve_latencies metrics) with
-  | Some s -> check_int "metrics saw every completion" st.Pool.p_completed
-                (Stats.count s)
-  | None -> Alcotest.fail "no serve latency metrics");
-  match List.assoc_opt "adm" (Metrics.serve_batches metrics) with
-  | Some s -> check_int "metrics saw every batch" st.Pool.p_batches
-                (Stats.count s)
-  | None -> Alcotest.fail "no serve batch metrics"
+    (Metrics.count metrics "serve.reject" "adm");
+  check_int "metrics saw every completion" st.Pool.p_completed
+    (Stats.count (Metrics.hist metrics "serve.done" "adm" "cycles"));
+  check_int "metrics saw every batch" st.Pool.p_batches
+    (Stats.count (Metrics.hist metrics "serve.batch" "adm" "size"))
 
 (* --- exactly-once under trip recovery ----------------------------------- *)
 
