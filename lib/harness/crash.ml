@@ -13,7 +13,7 @@ module Process = M3_sim.Process
 module Platform = M3_hw.Platform
 module Core_type = M3_hw.Core_type
 module Obs = M3_obs.Obs
-module Event = M3_obs.Event
+module Metrics = M3_obs.Metrics
 module Env = M3.Env
 module Errno = M3.Errno
 module Kdata = M3.Kdata
@@ -179,24 +179,6 @@ let names = List.map (fun (n, _, _, _) -> n) roles
 
 (* --- one cell -------------------------------------------------------- *)
 
-let count_events () =
-  let crashes = ref 0 and aborts = ref 0 in
-  let restarts = ref 0 and heartbeats = ref 0 in
-  let sink =
-    {
-      Obs.sink_name = "crash-sweep";
-      sink_emit =
-        (fun ~at:_ ev ->
-          match ev with
-          | Event.Fault_pe_crash _ -> incr crashes
-          | Event.Vpe_abort _ -> incr aborts
-          | Event.Vpe_restart _ -> incr restarts
-          | Event.Kernel_heartbeat _ -> incr heartbeats
-          | _ -> ());
-    }
-  in
-  (sink, crashes, aborts, restarts, heartbeats)
-
 let run_cell ~role ~fs ~victim_pe ~main ~after =
   let engine = Engine.create () in
   let plan =
@@ -205,9 +187,9 @@ let run_cell ~role ~fs ~victim_pe ~main ~after =
       ~seed:(0xC4A5 + (after * 37) + String.length role)
       ()
   in
-  let sink, crashes, aborts, restarts, heartbeats = count_events () in
+  let metrics = Metrics.create () in
   let obs = Obs.of_engine engine in
-  Obs.attach obs sink;
+  Obs.attach obs (Metrics.sink metrics);
   let no_fs = fs = `No_fs in
   let fs_config ~dram =
     let base = M3.M3fs.default_config ~dram in
@@ -221,6 +203,9 @@ let run_cell ~role ~fs ~victim_pe ~main ~after =
   let code =
     match Process.Ivar.peek exit with Some c -> c | None -> min_int
   in
+  let seen name = Metrics.count metrics name "" in
+  let crashes = seen "fault.pe_crash" and heartbeats = seen "kernel.heartbeat" in
+  let aborts = seen "vpe.abort" and restarts = seen "vpe.restart" in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   if code <> 0 then
@@ -229,10 +214,9 @@ let run_cell ~role ~fs ~victim_pe ~main ~after =
   if Plan.crashes_injected plan <> 1 then
     fail "expected exactly 1 injected crash, got %d"
       (Plan.crashes_injected plan);
-  if !crashes <> 1 then
-    fail "expected 1 fault.pe_crash event, got %d" !crashes;
-  if !heartbeats = 0 then fail "prober never swept";
-  if !aborts < 1 then fail "no vpe.abort observed";
+  if crashes <> 1 then fail "expected 1 fault.pe_crash event, got %d" crashes;
+  if heartbeats = 0 then fail "prober never swept";
+  if aborts < 1 then fail "no vpe.abort observed";
   if not (Platform.is_quarantined sys.M3.Bootstrap.platform victim_pe) then
     fail "pe%d not quarantined" victim_pe;
   (* Full reclamation: every dead VPE — crashed or voluntarily exited —
@@ -274,9 +258,9 @@ let run_cell ~role ~fs ~victim_pe ~main ~after =
     c_cycles = cycles;
     c_exit = code;
     c_crashes = Plan.crashes_injected plan;
-    c_heartbeats = !heartbeats;
-    c_aborts = !aborts;
-    c_restarts = !restarts;
+    c_heartbeats = heartbeats;
+    c_aborts = aborts;
+    c_restarts = restarts;
     c_failures = List.rev !failures;
   }
 
