@@ -29,6 +29,7 @@ module Errno = M3.Errno
 module Syscalls = M3.Syscalls
 module Vfs = M3.Vfs
 module Obs = M3_obs.Obs
+module Metrics = M3_obs.Metrics
 module Load = M3_serve.Load
 module Wire = M3_serve.Wire
 module Kv_wire = M3_kv.Kv_wire
@@ -210,14 +211,22 @@ let test_placement_is_stable () =
 
 (* Boots kernel + one m3fs (empty seed), mounts it, prepares [store]
    and runs [main] in the app VPE. *)
-let run_store ~config main =
+let run_store_traced ~sinks ~config main =
   let engine = Engine.create () in
+  let obs =
+    match sinks with
+    | [] -> None
+    | sinks ->
+      let obs = Obs.of_engine engine in
+      List.iter (Obs.attach obs) sinks;
+      Some obs
+  in
   let fs ~dram = { (M3.M3fs.default_config ~dram) with M3.M3fs.seed = [] } in
   let platform_config =
     { M3_hw.Platform.default_config with ep_count = 16 }
   in
   let store = Store.create ~config ~name:"kv" () in
-  let sys = Bootstrap.start ~platform_config ~fs engine in
+  let sys = Bootstrap.start ~platform_config ~fs ?obs engine in
   let exit =
     Bootstrap.launch sys ~name:"app" (fun env ->
         ok (Vfs.mount_sharded env ~path:"/" ~services:sys.Bootstrap.fs_services);
@@ -228,6 +237,8 @@ let run_store ~config main =
   ignore (Engine.run engine);
   M3.M3fs.forget ~engine;
   Bootstrap.expect_exit sys exit
+
+let run_store ~config main = run_store_traced ~sinks:[] ~config main
 
 let small_config =
   { Store.default_config with Store.keys = 12; buckets = 3; value_len = 64 }
@@ -258,6 +269,32 @@ let test_put_is_exactly_once () =
         check_int "get sees the applied seq" 7 seq;
         check_string "and the applied value" value v
       | _ -> Alcotest.fail "get after put failed")
+
+(* The dedup is visible on the obs bus: the replayed put counts as a
+   dup on the kv.put row, and the summary table prints that count. *)
+let test_dup_is_observable () =
+  let metrics = Metrics.create () in
+  let skips = ref 0 in
+  run_store_traced ~sinks:[ Metrics.sink metrics ] ~config:small_config
+    (fun env store ->
+      let key = Store.key_of_index store 3 in
+      let value = Store.value_of store ~key ~seq:7 in
+      for _ = 1 to 2 do
+        ignore
+          (Store.exec env store ~seq:7 (Kv_wire.R_put { key; seq = 7; value }))
+      done;
+      skips := Store.dup_skips store);
+  check_bool "the replay was a dup-skip" true (!skips >= 1);
+  check_int "kv.put dups are the store's dup-skips" !skips
+    (Metrics.sum metrics "kv.put" "kv" "dup");
+  let summary = Format.asprintf "%a" M3_harness.Report.print_obs metrics in
+  let dup = Printf.sprintf "  dup %d" !skips in
+  check_bool "the summary prints the kv.put dups" true
+    (List.exists
+       (fun line ->
+         String.starts_with ~prefix:"  kv.put " line
+         && String.ends_with ~suffix:dup line)
+       (String.split_on_char '\n' summary))
 
 let test_put_too_large () =
   run_store ~config:small_config (fun env store ->
@@ -382,6 +419,7 @@ let suites =
       [
         tc' "placement is stable" test_placement_is_stable;
         tc "put is exactly-once" `Slow test_put_is_exactly_once;
+        tc "put dedup is observable" `Slow test_dup_is_observable;
         tc "oversized put refused" `Slow test_put_too_large;
         tc "scan paginates" `Slow test_scan_paginates;
         tc' "kv off, no cost" test_kv_off_is_zero_cost;
