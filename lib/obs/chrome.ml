@@ -33,8 +33,9 @@ let create () =
     named_pids = Hashtbl.create 16;
   }
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
+(* Trace events are written member by member straight into the
+   buffer: a traced sweep emits millions of them. *)
+let add_escaped b s =
   String.iter
     (fun c ->
       match c with
@@ -45,44 +46,75 @@ let escape s =
       | c when Char.code c < 0x20 ->
         Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
       | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
+    s
 
-(* [fields] are preformatted ["key":value] JSON members. *)
-let raw t fields =
+(* [open_event t ph] starts one ["{"ph":ph"] object; members follow via
+   [str]/[int] and [close_event] ends it. *)
+let open_event t ph =
   if t.first then t.first <- false else Buffer.add_char t.buf ',';
-  Buffer.add_char t.buf '{';
-  Buffer.add_string t.buf (String.concat "," fields);
-  Buffer.add_string t.buf "}\n"
+  Buffer.add_string t.buf "{\"ph\":\"";
+  Buffer.add_string t.buf ph;
+  Buffer.add_char t.buf '"'
 
-let str k v = Printf.sprintf "\"%s\":\"%s\"" k (escape v)
-let int k v = Printf.sprintf "\"%s\":%d" k v
+let close_event t = Buffer.add_string t.buf "}\n"
+
+let key t k =
+  Buffer.add_string t.buf ",\"";
+  Buffer.add_string t.buf k;
+  Buffer.add_string t.buf "\":"
+
+let str t k v =
+  key t k;
+  Buffer.add_char t.buf '"';
+  add_escaped t.buf v;
+  Buffer.add_char t.buf '"'
+
+(* Non-negative numbers skip [string_of_int], which goes through the C
+   formatter: most of an event's cost. *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int b n =
+  if n >= 0 then add_digits b n else Buffer.add_string b (string_of_int n)
+
+let int t k v =
+  key t k;
+  add_int t.buf v
 
 let meta t ~pid ~tid ~which ~name =
-  raw t
-    [ str "ph" "M"; str "name" which; int "pid" pid; int "tid" tid;
-      Printf.sprintf "\"args\":{%s}" (str "name" name) ]
+  open_event t "M";
+  str t "name" which;
+  int t "pid" pid;
+  int t "tid" tid;
+  key t "args";
+  Buffer.add_string t.buf "{\"name\":\"";
+  add_escaped t.buf name;
+  Buffer.add_string t.buf "\"}";
+  close_event t
 
 let ensure_pid t pid ~name =
   if not (Hashtbl.mem t.named_pids pid) then begin
     Hashtbl.add t.named_pids pid ();
-    meta t ~pid ~tid:0 ~which:"process_name" ~name
+    meta t ~pid ~tid:0 ~which:"process_name" ~name:(name ())
   end
 
 let ensure_tid t pid tid ~name =
   if not (Hashtbl.mem t.named (pid, tid)) then begin
     Hashtbl.add t.named (pid, tid) ();
-    meta t ~pid ~tid ~which:"thread_name" ~name
+    meta t ~pid ~tid ~which:"thread_name" ~name:(name ())
   end
 
 let pe_pid t pe =
   let pid = t.run_base + pe in
-  ensure_pid t pid ~name:(Printf.sprintf "run%d/pe%d" (t.run_base / 1000) pe);
+  ensure_pid t pid ~name:(fun () ->
+      Printf.sprintf "run%d/pe%d" (t.run_base / 1000) pe);
   pid
 
 let noc_pid t =
   let pid = t.run_base + noc_node in
-  ensure_pid t pid ~name:(Printf.sprintf "run%d/noc" (t.run_base / 1000));
+  ensure_pid t pid ~name:(fun () ->
+      Printf.sprintf "run%d/noc" (t.run_base / 1000));
   pid
 
 let begin_run t =
@@ -93,18 +125,27 @@ let flow_id t msg = (t.run_base * 1_000_000) + msg
 
 (* Only the plain-number fields travel as [args]; ids are on the
    track, names in the title and times in the slice. *)
-let args fields =
-  match
-    List.filter_map
-      (fun (k, v) ->
-        match v with
-        | Event.Int n | Event.Sum n | Event.Hist n -> Some (int k n)
-        | Event.Flag b -> Some (int k (Bool.to_int b))
-        | Event.Id _ | Event.Text _ | Event.Time _ -> None)
-      fields
-  with
-  | [] -> []
-  | kvs -> [ Printf.sprintf "\"args\":{%s}" (String.concat "," kvs) ]
+let args t fields =
+  let first = ref true in
+  let arg k n =
+    if !first then begin
+      key t "args";
+      Buffer.add_string t.buf "{\"";
+      first := false
+    end
+    else Buffer.add_string t.buf ",\"";
+    Buffer.add_string t.buf k;
+    Buffer.add_string t.buf "\":";
+    add_int t.buf n
+  in
+  List.iter
+    (fun (k, v) ->
+      match v with
+      | Event.Int n | Event.Sum n | Event.Hist n -> arg k n
+      | Event.Flag b -> arg k (Bool.to_int b)
+      | Event.Id _ | Event.Text _ | Event.Time _ -> ())
+    fields;
+  if not !first then Buffer.add_char t.buf '}'
 
 let thread t pid tid ~name =
   ensure_tid t pid tid ~name;
@@ -113,22 +154,23 @@ let thread t pid tid ~name =
 (* Resolves a track to its (pid, tid), naming both on first use. *)
 let locate t = function
   | Event.Vpe (pe, vpe) ->
-    thread t (pe_pid t pe) vpe ~name:(Printf.sprintf "vpe%d" vpe)
+    thread t (pe_pid t pe) vpe ~name:(fun () -> Printf.sprintf "vpe%d" vpe)
   | Event.Ep (pe, ep) ->
-    thread t (pe_pid t pe) (tid_ep_base + ep) ~name:(Printf.sprintf "ep%d" ep)
-  | Event.Mem pe -> thread t (pe_pid t pe) tid_mem ~name:"dtu.mem"
+    thread t (pe_pid t pe) (tid_ep_base + ep) ~name:(fun () ->
+        Printf.sprintf "ep%d" ep)
+  | Event.Mem pe -> thread t (pe_pid t pe) tid_mem ~name:(fun () -> "dtu.mem")
   | Event.Session (pe, s) ->
-    thread t (pe_pid t pe) (tid_sess_base + s)
-      ~name:(Printf.sprintf "fs.sess%d" s)
-  | Event.Core pe -> thread t (pe_pid t pe) tid_core ~name:"core"
+    thread t (pe_pid t pe) (tid_sess_base + s) ~name:(fun () ->
+        Printf.sprintf "fs.sess%d" s)
+  | Event.Core pe -> thread t (pe_pid t pe) tid_core ~name:(fun () -> "core")
   | Event.Pe pe -> (pe_pid t pe, 0)
   | Event.Xfer (src, dst) ->
-    thread t (noc_pid t) ((src * 100) + dst)
-      ~name:(Printf.sprintf "xfer %d>%d" src dst)
+    thread t (noc_pid t) ((src * 100) + dst) ~name:(fun () ->
+        Printf.sprintf "xfer %d>%d" src dst)
   | Event.Link (src, dst) ->
     thread t (noc_pid t)
       (10000 + (src * 100) + dst)
-      ~name:(Printf.sprintf "link %d>%d" src dst)
+      ~name:(fun () -> Printf.sprintf "link %d>%d" src dst)
 
 (* An instant becomes a one-cycle slice rather than an instant event,
    so flow arrows have something to bind to in Perfetto's legacy-JSON
@@ -146,23 +188,34 @@ let record t ~at ev =
       | Event.Starting n -> (at, at + n)
       | Event.Window (a, b) -> (a, b)
     in
-    raw t
-      ([ str "ph" "X"; str "name" d.Event.title; str "cat" d.Event.cat;
-         int "ts" start; int "dur" (max 1 (stop - start)); int "pid" pid;
-         int "tid" tid ]
-      @ args d.Event.fields);
-    let flow ph ~ts msg extra =
-      if msg <> 0 then
-        raw t
-          ([ str "ph" ph; str "name" "msg"; str "cat" "dtu"; int "ts" ts;
-             int "pid" pid; int "tid" tid; int "id" (flow_id t msg) ]
-          @ extra)
+    open_event t "X";
+    str t "name" d.Event.title;
+    str t "cat" d.Event.cat;
+    int t "ts" start;
+    int t "dur" (max 1 (stop - start));
+    int t "pid" pid;
+    int t "tid" tid;
+    args t d.Event.fields;
+    close_event t;
+    let flow ph ~ts msg =
+      if msg <> 0 then begin
+        open_event t ph;
+        str t "name" "msg";
+        str t "cat" "dtu";
+        int t "ts" ts;
+        int t "pid" pid;
+        int t "tid" tid;
+        int t "id" (flow_id t msg);
+        (* A flow end binds to its enclosing slice. *)
+        if ph = "f" then str t "bp" "e";
+        close_event t
+      end
     in
     match d.Event.flow with
     | Event.No_flow -> ()
-    | Event.Flow_start msg -> flow "s" ~ts:start msg []
-    | Event.Flow_step msg -> flow "t" ~ts:((start + stop) / 2) msg []
-    | Event.Flow_end msg -> flow "f" ~ts:start msg [ str "bp" "e" ]
+    | Event.Flow_start msg -> flow "s" ~ts:start msg
+    | Event.Flow_step msg -> flow "t" ~ts:((start + stop) / 2) msg
+    | Event.Flow_end msg -> flow "f" ~ts:start msg
 
 let sink t =
   { Obs.sink_name = "chrome"; sink_emit = (fun ~at ev -> record t ~at ev) }

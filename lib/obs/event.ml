@@ -155,7 +155,7 @@ let describe = function
            ("dst_ep", Int dst_ep); ("bytes", Sum bytes); ("msg", Int msg) ])
       with
       flow = Flow_start msg;
-      label = Place (Printf.sprintf "pe%d.ep%d" pe ep);
+      label = Place ("pe" ^ string_of_int pe ^ ".ep" ^ string_of_int ep);
     }
   | Dtu_receive { pe; ep; src_pe; bytes; msg } ->
     {
@@ -202,7 +202,7 @@ let describe = function
            ("queued", Hist queued); ("msg", Int msg) ])
       with
       span = Window (enter, leave);
-      label = Place (Printf.sprintf "%d>%d" link_src link_dst);
+      label = Place (string_of_int link_src ^ ">" ^ string_of_int link_dst);
     }
   | Syscall_enter { pe; vpe; op } ->
     (* The exit event carries the slice. *)
