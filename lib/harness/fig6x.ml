@@ -47,7 +47,7 @@ let shard_counts_full = [ 1; 2; 4 ]
 let queue_stats metrics =
   List.filter_map
     (fun (r : Metrics.row) ->
-      if r.name <> "fs.shard.queue" then None
+      if r.name <> "fs.shard.queue" || r.label = "" then None
       else
         let s = Metrics.hist metrics r.name r.label "depth" in
         Some

@@ -165,30 +165,58 @@ let top n xs ~weight =
   in
   (take n sorted, max 0 (List.length xs - n))
 
-(* Busiest first: a row's first total (its cycles or bytes), else its
-   count. *)
-let weight (r : Metrics.row) =
-  match r.sums with (_, x) :: _ -> x | [] -> r.count
-
-(* Consecutive rows of one event name. *)
-let rec by_name = function
+(* Runs of elements with equal [key], in first-appearance order. *)
+let rec group key = function
   | [] -> []
-  | (r : Metrics.row) :: _ as rows ->
-    let mine, rest =
-      List.partition (fun (r' : Metrics.row) -> r'.name = r.name) rows
-    in
-    (r.name, mine) :: by_name rest
+  | x :: _ as xs ->
+    let k = key x in
+    let mine, rest = List.partition (fun y -> key y = k) xs in
+    (k, mine) :: group key rest
+
+let by_key (a, _) (b, _) = compare a b
+
+(* A dotted name's family is everything before its last segment
+   ("serve.admit" -> "serve"), its member that segment. *)
+let split name =
+  match String.rindex_opt name '.' with
+  | Some i ->
+    (String.sub name 0 i, String.sub name (i + 1) (String.length name - i - 1))
+  | None -> (name, name)
+
+(* Merges rows into one line: the event count, each member's count
+   when [members], and the totals and distributions of same-named
+   fields combined across rows. *)
+let merge ~members (rows : Metrics.row list) =
+  let combine f acc (k, x) =
+    if List.mem_assoc k acc then
+      List.map (fun (k', y) -> if k' = k then (k', f y x) else (k', y)) acc
+    else acc @ [ (k, x) ]
+  in
+  let fold f get =
+    List.fold_left (fun acc r -> List.fold_left f acc (get r)) [] rows
+  in
+  ( List.fold_left (fun n (r : Metrics.row) -> n + r.count) 0 rows,
+    (if members then
+       List.map (fun (r : Metrics.row) -> (snd (split r.name), r.count)) rows
+     else []),
+    fold (combine ( + )) (fun r -> r.sums),
+    fold (combine Stats.merge) (fun r -> r.hists) )
 
 let print_obs ppf m =
   let rows = Metrics.rows m in
+  let kinds, labelled =
+    List.partition (fun (r : Metrics.row) -> r.label = "") rows
+  in
+  let families = group (fun (r : Metrics.row) -> fst (split r.name)) labelled in
   let width =
     List.fold_left
       (fun w (r : Metrics.row) ->
         max w (max (String.length r.name) (2 + String.length r.label)))
-      4 rows
+      8 rows
   in
-  let line key count sums hists =
+  let line key (count, members, sums, hists) =
     Format.fprintf ppf "  %-*s %8d" width key count;
+    List.iter (fun (k, n) -> Format.fprintf ppf "  %s %d" k n) members;
     List.iter
       (fun (k, x) ->
         Format.fprintf ppf "  %s %d" k x;
@@ -199,24 +227,35 @@ let print_obs ppf m =
     Format.fprintf ppf "@."
   in
   Format.fprintf ppf "Observability summary (%d events)@."
-    (List.fold_left (fun n (r : Metrics.row) -> n + r.count) 0 rows);
+    (List.fold_left (fun n (r : Metrics.row) -> n + r.count) 0 kinds);
   Format.fprintf ppf "  %-*s %8s  totals (distribution)@." width "kind" "count";
+  List.iter (fun (r : Metrics.row) -> line r.name (merge ~members:false [ r ]))
+    kinds;
+  Format.fprintf ppf "  %-*s %8s  per kind, totals (distribution)@." width
+    "by label" "count";
   List.iter
-    (fun (name, (rows : Metrics.row list)) ->
-      match rows with
-      | [ r ] when r.label = "" -> line name r.count r.sums r.hists
-      | r :: _ ->
-        let add = List.map2 (fun (k, a) (_, b) -> (k, a + b)) in
-        line name
-          (List.fold_left (fun n (r : Metrics.row) -> n + r.count) 0 rows)
-          (List.fold_left (fun acc (r : Metrics.row) -> add acc r.sums)
-             (List.map (fun (k, _) -> (k, 0)) r.sums)
-             rows)
-          [];
-        let shown, elided = if r.place then top 8 rows ~weight else (rows, 0) in
-        List.iter
-          (fun (r : Metrics.row) -> line ("  " ^ r.label) r.count r.sums r.hists)
-          shown;
-        if elided > 0 then Format.fprintf ppf "    ... %d more@." elided
-      | [] -> ())
-    (by_name rows)
+    (fun (family, (rows : Metrics.row list)) ->
+      let names =
+        List.sort_uniq compare (List.map (fun (r : Metrics.row) -> r.name) rows)
+      in
+      let members = List.length names > 1 in
+      line family
+        (merge ~members
+           (List.filter (fun (r : Metrics.row) -> List.mem r.name names) kinds));
+      let lines =
+        List.sort by_key
+          (List.map
+             (fun (label, rows) -> (label, merge ~members rows))
+             (group (fun (r : Metrics.row) -> r.label) rows))
+      in
+      (* Locations (endpoints, links) grow with the machine: show the
+         busiest, by their first total (cycles or bytes), else count. *)
+      let shown, elided =
+        if List.exists (fun (r : Metrics.row) -> r.place) rows then
+          top 8 lines ~weight:(fun (_, (n, _, sums, _)) ->
+              match sums with (_, x) :: _ -> x | [] -> n)
+        else (lines, 0)
+      in
+      List.iter (fun (label, l) -> line ("  " ^ label) l) shown;
+      if elided > 0 then Format.fprintf ppf "    ... %d more@." elided)
+    (List.sort by_key families)

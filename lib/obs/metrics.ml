@@ -44,14 +44,7 @@ let fresh d =
     d;
   { n = 0; totals = List.rev !totals; dists = List.rev !dists }
 
-let record t ev =
-  let d = Event.describe ev in
-  let label, place =
-    match d.Event.label with
-    | Event.Unlabelled -> ("", false)
-    | Event.Key l -> (l, false)
-    | Event.Place l -> (l, true)
-  in
+let add t d label place =
   let acc =
     match Hashtbl.find_opt t (d.Event.name, label) with
     | Some (_, acc) -> acc
@@ -67,6 +60,14 @@ let record t ev =
       r := !r + x;
       if dist then Stats.add (List.assoc k acc.dists) (float_of_int x))
     d
+
+let record t ev =
+  let d = Event.describe ev in
+  add t d "" false;
+  match d.Event.label with
+  | Event.Unlabelled -> ()
+  | Event.Key l -> add t d l false
+  | Event.Place l -> add t d l true
 
 let sink t =
   { Obs.sink_name = "metrics"; sink_emit = (fun ~at:_ ev -> record t ev) }

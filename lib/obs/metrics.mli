@@ -1,12 +1,13 @@
 (** Counter/histogram sink: a generic fold of {!Event.describe}.
 
-    Every event counts into the row keyed by its name and label
-    ({!Event.label}; [""] when unlabelled). A row totals the event's
-    [Sum], [Hist] and [Flag] fields (a flag totals its [true]s) and
-    the length of its span as ["cycles"], and keeps a distribution of
-    every [Hist] field and of ["cycles"]. Attach via {!sink}; query
-    after the run. The harness renders the rows as the per-experiment
-    summary table ([M3_harness.Report.print_obs]). *)
+    Every event counts into the row of its name (label [""]) and, when
+    labelled ({!Event.label}), into the row of its name and label too.
+    A row totals the event's [Sum], [Hist] and [Flag] fields (a flag
+    totals its [true]s) and the length of its span as ["cycles"], and
+    keeps a distribution of every [Hist] field and of ["cycles"].
+    Attach via {!sink}; query after the run. The harness renders the
+    rows as the per-experiment summary table
+    ([M3_harness.Report.print_obs]). *)
 
 type t
 
