@@ -204,8 +204,8 @@ let run_cell ~role ~fs ~victim_pe ~main ~after =
     match Process.Ivar.peek exit with Some c -> c | None -> min_int
   in
   let seen name = Metrics.count metrics name "" in
-  let crashes = seen "fault.pe_crash" and heartbeats = seen "kernel.heartbeat" in
-  let aborts = seen "vpe.abort" and restarts = seen "vpe.restart" in
+  let crashes = seen "fault.pe_crash" and aborts = seen "vpe.abort" in
+  let restarts = seen "vpe.restart" and heartbeats = seen "kernel.heartbeat" in
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   if code <> 0 then

@@ -239,9 +239,10 @@ let print_obs ppf m =
         List.sort_uniq compare (List.map (fun (r : Metrics.row) -> r.name) rows)
       in
       let members = List.length names > 1 in
-      line family
-        (merge ~members
-           (List.filter (fun (r : Metrics.row) -> List.mem r.name names) kinds));
+      let totals =
+        List.filter (fun (r : Metrics.row) -> List.mem r.name names) kinds
+      in
+      line family (merge ~members totals);
       let lines =
         List.sort by_key
           (List.map

@@ -197,10 +197,12 @@ type span =
     receives end it. *)
 type flow = No_flow | Flow_start of int | Flow_step of int | Flow_end of int
 
-(** The row an event counts into under its name. [Key] values come
-    from a small vocabulary (operations, pools, services, kinds);
-    [Place] values are locations (endpoints, links) that grow with the
-    machine, so summaries show only the busiest. *)
+(** The row an event counts into under its name, besides the name's
+    total. [Key] values come from a small vocabulary (operations,
+    pools, services, kinds); [Place] values are locations (endpoints,
+    links) that grow with the machine, so summaries show only the
+    busiest. Events of one dotted family ([serve.admit],
+    [serve.reject], ...) that share a label are summarised together. *)
 type label = Unlabelled | Key of string | Place of string
 
 type desc = {

@@ -89,14 +89,16 @@ let rows t =
        t [])
 
 let find t name label = Option.map snd (Hashtbl.find_opt t (name, label))
-let count t name label = match find t name label with Some a -> a.n | None -> 0
+
+let count t name label =
+  match find t name label with Some a -> a.n | None -> 0
+
+let field t name label key get =
+  Option.bind (find t name label) (fun a -> List.assoc_opt key (get a))
 
 let sum t name label key =
-  match find t name label with
-  | Some a -> ( match List.assoc_opt key a.totals with Some r -> !r | None -> 0)
-  | None -> 0
+  Option.fold ~none:0 ~some:( ! ) (field t name label key (fun a -> a.totals))
 
 let hist t name label key =
-  match Option.bind (find t name label) (fun a -> List.assoc_opt key a.dists) with
-  | Some s -> s
-  | None -> Stats.create ()
+  Option.value ~default:(Stats.create ())
+    (field t name label key (fun a -> a.dists))

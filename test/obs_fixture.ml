@@ -20,7 +20,8 @@ let samples =
         { pe = 1; ep = 6; dst_pe = 2; dst_ep = 0; bytes = 16; msg = 0;
           reply = false } );
     (13, Event.Dtu_receive { pe = 3; ep = 4; src_pe = 1; bytes = 80; msg = 1 });
-    (14, Event.Dtu_drop { pe = 3; ep = 4; src_pe = 1; msg = 3; reason = "full" });
+    ( 14,
+      Event.Dtu_drop { pe = 3; ep = 4; src_pe = 1; msg = 3; reason = "full" } );
     (15, Event.Dtu_read { pe = 1; mem_pe = 7; bytes = 4096; msg = 4 });
     (16, Event.Dtu_write { pe = 1; mem_pe = 7; bytes = 2048; msg = 5 });
     ( 17,
@@ -31,8 +32,12 @@ let samples =
         { link_src = 1; link_dst = 2; enter = 18; leave = 22; queued = 3;
           msg = 1 } );
     (19, Event.Syscall_enter { pe = 1; vpe = 1; op = "noop" });
-    (219, Event.Syscall_exit { pe = 1; vpe = 1; op = "noop"; ok = true; cycles = 200 });
-    (220, Event.Syscall_exit { pe = 1; vpe = 1; op = "revoke"; ok = false; cycles = 40 });
+    ( 219,
+      Event.Syscall_exit
+        { pe = 1; vpe = 1; op = "noop"; ok = true; cycles = 200 } );
+    ( 220,
+      Event.Syscall_exit
+        { pe = 1; vpe = 1; op = "revoke"; ok = false; cycles = 40 } );
     (230, Event.Fs_request { pe = 2; session = 3; op = "open" });
     (400, Event.Fs_response { pe = 2; session = 3; op = "open"; cycles = 170 });
     (401, Event.Fs_shard { pe = 1; shard = 1; srv = "m3fs.1" });
@@ -41,7 +46,9 @@ let samples =
     (404, Event.Fs_cache_miss { pe = 1; kind = "extent" });
     (405, Event.Fs_cache_inval { pe = 1; kind = "ino" });
     (406, Event.Fs_cache_flush { pe = 1; gen = 2; reason = "gap" });
-    (407, Event.Fs_inval_send { pe = 2; srv = "m3fs.0"; session = 3; kind = "path" });
+    ( 407,
+      Event.Fs_inval_send { pe = 2; srv = "m3fs.0"; session = 3; kind = "path" }
+    );
     (408, Event.Vpe_create { vpe = 4; pe = 5; name = "worker" });
     (409, Event.Vpe_start { vpe = 4; pe = 5; name = "worker" });
     (410, Event.Vpe_exit { vpe = 4; pe = 5; code = 0 });
@@ -50,8 +57,8 @@ let samples =
     (413, Event.Pe_spawn { pe = 5; name = "worker" });
     (414, Event.Pe_halt { pe = 5 });
     ( 415,
-      Event.Fault_drop { src = 1; dst = 3; bytes = 64; msg = 6; reason = "plan" }
-    );
+      Event.Fault_drop
+        { src = 1; dst = 3; bytes = 64; msg = 6; reason = "plan" } );
     (416, Event.Fault_corrupt { src = 3; dst = 1; bytes = 32; msg = 7 });
     (417, Event.Fault_stall { pe = 2; cycles = 25 });
     ( 418,
@@ -68,7 +75,8 @@ let samples =
     (426, Event.Serve_reject { pe = 2; pool = "echo"; seq = 2; depth = 8 });
     (427, Event.Serve_batch { pe = 2; pool = "echo"; worker = 0; size = 3 });
     (900, Event.Serve_done { pe = 2; pool = "echo"; seq = 1; cycles = 470 });
-    (901, Event.Serve_restart { pe = 10; pool = "echo"; worker = 1; attempt = 1 });
+    ( 901,
+      Event.Serve_restart { pe = 10; pool = "echo"; worker = 1; attempt = 1 } );
     (902, Event.Vpe_suspend { vpe = 4; pe = 5; bytes = 65536 });
     (903, Event.Vpe_resume { vpe = 4; pe = 5; from_pe = 5; cold = false });
     (904, Event.Vpe_resume { vpe = 4; pe = 6; from_pe = 5; cold = false });
@@ -93,8 +101,8 @@ let samples =
       Event.Kv_op { pe = 5; store = "kv"; op = "put"; bucket = 2; dup = true }
     );
     ( 994,
-      Event.Kv_op { pe = 5; store = "kv"; op = "delete"; bucket = 0; dup = false }
-    );
+      Event.Kv_op
+        { pe = 5; store = "kv"; op = "delete"; bucket = 0; dup = false } );
     ( 995,
       Event.Kv_op { pe = 5; store = "kv"; op = "scan"; bucket = 1; dup = false }
     );
@@ -104,7 +112,9 @@ let feed sink = List.iter (fun (at, ev) -> sink.Obs.sink_emit ~at ev)
 
 let () =
   print_endline "== log ==";
-  List.iter (fun (at, ev) -> Printf.printf "%d %s\n" at (Event.to_string ev)) samples;
+  List.iter
+    (fun (at, ev) -> Printf.printf "%d %s\n" at (Event.to_string ev))
+    samples;
   (* Two runs, so the second pid namespace and its flow ids show too. *)
   let chrome = Chrome.create () in
   Chrome.begin_run chrome;
