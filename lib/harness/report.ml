@@ -159,11 +159,7 @@ let pcts st =
    readable on wide fabrics. *)
 let top n xs ~weight =
   let sorted = List.stable_sort (fun a b -> compare (weight b) (weight a)) xs in
-  let rec take n = function
-    | x :: rest when n > 0 -> x :: take (n - 1) rest
-    | _ -> []
-  in
-  (take n sorted, max 0 (List.length xs - n))
+  (List.filteri (fun i _ -> i < n) sorted, max 0 (List.length xs - n))
 
 (* Runs of elements with equal [key], in first-appearance order. *)
 let rec group key = function

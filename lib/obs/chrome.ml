@@ -93,29 +93,26 @@ let meta t ~pid ~tid ~which ~name =
   Buffer.add_string t.buf "\"}";
   close_event t
 
-let ensure_pid t pid ~name =
+(* The pid of this run's PE or NoC [slot], named [run<N>/<label>] on
+   first use. *)
+let process t slot label =
+  let pid = t.run_base + slot in
   if not (Hashtbl.mem t.named_pids pid) then begin
     Hashtbl.add t.named_pids pid ();
-    meta t ~pid ~tid:0 ~which:"process_name" ~name:(name ())
-  end
+    meta t ~pid ~tid:0 ~which:"process_name"
+      ~name:(Printf.sprintf "run%d/%s" (t.run_base / 1000) (label ()))
+  end;
+  pid
 
-let ensure_tid t pid tid ~name =
+let pe_pid t pe = process t pe (fun () -> "pe" ^ string_of_int pe)
+let noc_pid t = process t noc_node (fun () -> "noc")
+
+let thread t pid tid ~name =
   if not (Hashtbl.mem t.named (pid, tid)) then begin
     Hashtbl.add t.named (pid, tid) ();
     meta t ~pid ~tid ~which:"thread_name" ~name:(name ())
-  end
-
-let pe_pid t pe =
-  let pid = t.run_base + pe in
-  ensure_pid t pid ~name:(fun () ->
-      Printf.sprintf "run%d/pe%d" (t.run_base / 1000) pe);
-  pid
-
-let noc_pid t =
-  let pid = t.run_base + noc_node in
-  ensure_pid t pid ~name:(fun () ->
-      Printf.sprintf "run%d/noc" (t.run_base / 1000));
-  pid
+  end;
+  (pid, tid)
 
 let begin_run t =
   t.run_base <- t.runs * 1000;
@@ -146,10 +143,6 @@ let args t fields =
       | Event.Id _ | Event.Text _ | Event.Time _ -> ())
     fields;
   if not !first then Buffer.add_char t.buf '}'
-
-let thread t pid tid ~name =
-  ensure_tid t pid tid ~name;
-  (pid, tid)
 
 (* Resolves a track to its (pid, tid), naming both on first use. *)
 let locate t = function

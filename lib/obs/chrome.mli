@@ -26,8 +26,11 @@ val begin_run : t -> unit
 
 val sink : t -> Obs.sink
 
-(** [to_string t] is the complete JSON document. *)
+(** [to_string t] is the complete JSON document, as one string. *)
 val to_string : t -> string
 
+(** [write_channel] and [write_file] stream the document without
+    copying it. *)
 val write_channel : t -> out_channel -> unit
+
 val write_file : t -> string -> unit

@@ -105,8 +105,8 @@ type desc = {
   fields : (string * value) list;
 }
 
-(* The common shape: a one-cycle marker, no flow, no label. *)
-let mark name cat track title fields =
+(* The common shape: a one-cycle marker without flow. *)
+let mark name cat track title label fields =
   {
     name;
     cat;
@@ -114,34 +114,35 @@ let mark name cat track title fields =
     title;
     span = Instant;
     flow = No_flow;
-    label = Unlabelled;
+    label;
     fields;
   }
 
 let cache name pe kind =
-  {
-    (mark name "fs" (Pe pe) (name ^ ":" ^ kind)
-       [ ("pe", Id pe); ("kind", Text kind) ])
-    with
-    label = Key kind;
-  }
+  mark name "fs" (Pe pe) (name ^ ":" ^ kind) (Key kind)
+    [ ("pe", Id pe); ("kind", Text kind) ]
 
 let vpe_named name vpe pe prog =
-  mark name "vpe" (Vpe (pe, vpe)) (name ^ ":" ^ prog)
+  mark name "vpe" (Vpe (pe, vpe)) (name ^ ":" ^ prog) Unlabelled
     [ ("vpe", Id vpe); ("pe", Id pe); ("name", Text prog) ]
 
 let pipe name vpe pe bytes =
-  mark name "pipe" (Vpe (pe, vpe)) name
+  mark name "pipe" (Vpe (pe, vpe)) name Unlabelled
     [ ("vpe", Id vpe); ("pe", Id pe); ("bytes", Sum bytes) ]
 
 (* Serving-pool and gateway events: a marker on the dispatcher's core
    titled [<name>:<pool>], one row per pool. *)
 let serve name pe pool fields =
+  mark name "serve" (Core pe) (name ^ ":" ^ pool) (Key pool)
+    (("pe", Id pe) :: ("pool", Text pool) :: fields)
+
+let dtu_mem name title pe mem_pe bytes msg =
   {
-    (mark name "serve" (Core pe) (name ^ ":" ^ pool)
-       (("pe", Id pe) :: ("pool", Text pool) :: fields))
+    (mark name "dtu" (Mem pe) title Unlabelled
+       [ ("pe", Id pe); ("mem_pe", Int mem_pe); ("bytes", Sum bytes);
+         ("msg", Int msg) ])
     with
-    label = Key pool;
+    flow = Flow_start msg;
   }
 
 let describe = function
@@ -151,43 +152,31 @@ let describe = function
     in
     {
       (mark name "dtu" (Ep (pe, ep)) title
+         (Place ("pe" ^ string_of_int pe ^ ".ep" ^ string_of_int ep))
          [ ("pe", Id pe); ("ep", Id ep); ("dst_pe", Int dst_pe);
            ("dst_ep", Int dst_ep); ("bytes", Sum bytes); ("msg", Int msg) ])
       with
       flow = Flow_start msg;
-      label = Place ("pe" ^ string_of_int pe ^ ".ep" ^ string_of_int ep);
     }
   | Dtu_receive { pe; ep; src_pe; bytes; msg } ->
     {
-      (mark "dtu.receive" "dtu" (Ep (pe, ep)) "receive"
+      (mark "dtu.receive" "dtu" (Ep (pe, ep)) "receive" Unlabelled
          [ ("pe", Id pe); ("ep", Id ep); ("src_pe", Int src_pe);
            ("bytes", Sum bytes); ("msg", Int msg) ])
       with
       flow = Flow_end msg;
     }
   | Dtu_drop { pe; ep; src_pe; msg; reason } ->
-    mark "dtu.drop" "dtu" (Ep (pe, ep)) ("drop:" ^ reason)
+    mark "dtu.drop" "dtu" (Ep (pe, ep)) ("drop:" ^ reason) Unlabelled
       [ ("pe", Id pe); ("ep", Id ep); ("src_pe", Int src_pe); ("msg", Int msg);
         ("reason", Text reason) ]
   | Dtu_read { pe; mem_pe; bytes; msg } ->
-    {
-      (mark "dtu.read" "dtu" (Mem pe) "mem.read"
-         [ ("pe", Id pe); ("mem_pe", Int mem_pe); ("bytes", Sum bytes);
-           ("msg", Int msg) ])
-      with
-      flow = Flow_start msg;
-    }
+    dtu_mem "dtu.read" "mem.read" pe mem_pe bytes msg
   | Dtu_write { pe; mem_pe; bytes; msg } ->
-    {
-      (mark "dtu.write" "dtu" (Mem pe) "mem.write"
-         [ ("pe", Id pe); ("mem_pe", Int mem_pe); ("bytes", Sum bytes);
-           ("msg", Int msg) ])
-      with
-      flow = Flow_start msg;
-    }
+    dtu_mem "dtu.write" "mem.write" pe mem_pe bytes msg
   | Noc_xfer { src; dst; bytes; depart; arrive; msg } ->
     {
-      (mark "noc.xfer" "noc" (Xfer (src, dst)) "xfer"
+      (mark "noc.xfer" "noc" (Xfer (src, dst)) "xfer" Unlabelled
          [ ("src", Id src); ("dst", Id dst); ("bytes", Sum bytes);
            ("depart", Time depart); ("arrive", Time arrive); ("msg", Int msg) ])
       with
@@ -197,124 +186,114 @@ let describe = function
   | Noc_link { link_src; link_dst; enter; leave; queued; msg } ->
     {
       (mark "noc.link" "noc" (Link (link_src, link_dst)) "hop"
+         (Place (string_of_int link_src ^ ">" ^ string_of_int link_dst))
          [ ("link_src", Id link_src); ("link_dst", Id link_dst);
            ("enter", Time enter); ("leave", Time leave);
            ("queued", Hist queued); ("msg", Int msg) ])
       with
       span = Window (enter, leave);
-      label = Place (string_of_int link_src ^ ">" ^ string_of_int link_dst);
     }
   | Syscall_enter { pe; vpe; op } ->
     (* The exit event carries the slice. *)
     {
-      (mark "syscall.enter" "syscall" (Vpe (pe, vpe)) op
+      (mark "syscall.enter" "syscall" (Vpe (pe, vpe)) op Unlabelled
          [ ("pe", Id pe); ("vpe", Id vpe); ("op", Text op) ])
       with
       track = None;
     }
   | Syscall_exit { pe; vpe; op; ok; cycles } ->
     {
-      (mark "syscall.exit" "syscall" (Vpe (pe, vpe)) op
+      (mark "syscall.exit" "syscall" (Vpe (pe, vpe)) op (Key op)
          [ ("pe", Id pe); ("vpe", Id vpe); ("op", Text op); ("ok", Flag ok);
            ("cycles", Time cycles) ])
       with
       span = Ending cycles;
-      label = Key op;
     }
   | Fs_request { pe; session; op } ->
     (* The response event carries the slice. *)
     {
-      (mark "fs.request" "fs" (Session (pe, session)) op
+      (mark "fs.request" "fs" (Session (pe, session)) op Unlabelled
          [ ("pe", Id pe); ("session", Id session); ("op", Text op) ])
       with
       track = None;
     }
   | Fs_response { pe; session; op; cycles } ->
     {
-      (mark "fs.response" "fs" (Session (pe, session)) op
+      (mark "fs.response" "fs" (Session (pe, session)) op (Key op)
          [ ("pe", Id pe); ("session", Id session); ("op", Text op);
            ("cycles", Time cycles) ])
       with
       span = Ending cycles;
-      label = Key op;
     }
   | Fs_shard { pe; shard; srv } ->
-    {
-      (mark "fs.shard.resolve" "fs" (Pe pe) ("fs.shard:" ^ srv)
-         [ ("pe", Id pe); ("shard", Int shard); ("srv", Text srv) ])
-      with
-      label = Key srv;
-    }
+    mark "fs.shard.resolve" "fs" (Pe pe) ("fs.shard:" ^ srv) (Key srv)
+      [ ("pe", Id pe); ("shard", Int shard); ("srv", Text srv) ]
   | Fs_queue { pe; srv; depth } ->
-    {
-      (mark "fs.shard.queue" "fs" (Pe pe) ("fs.queue:" ^ srv)
-         [ ("pe", Id pe); ("srv", Text srv); ("depth", Hist depth) ])
-      with
-      label = Key srv;
-    }
+    mark "fs.shard.queue" "fs" (Pe pe) ("fs.queue:" ^ srv) (Key srv)
+      [ ("pe", Id pe); ("srv", Text srv); ("depth", Hist depth) ]
   | Fs_cache_hit { pe; kind } -> cache "fs.cache.hit" pe kind
   | Fs_cache_miss { pe; kind } -> cache "fs.cache.miss" pe kind
   | Fs_cache_inval { pe; kind } -> cache "fs.cache.inval" pe kind
   | Fs_cache_flush { pe; gen; reason } ->
-    mark "fs.cache.flush" "fs" (Pe pe) ("fs.cache.flush:" ^ reason)
+    mark "fs.cache.flush" "fs" (Pe pe) ("fs.cache.flush:" ^ reason) Unlabelled
       [ ("pe", Id pe); ("gen", Int gen); ("reason", Text reason) ]
   | Fs_inval_send { pe; srv; session; kind } ->
-    {
-      (mark "fs.inval.send" "fs" (Session (pe, session))
-         (Printf.sprintf "fs.inval:%s:%s" srv kind)
-         [ ("pe", Id pe); ("srv", Text srv); ("session", Id session);
-           ("kind", Text kind) ])
-      with
-      label = Key srv;
-    }
+    mark "fs.inval.send" "fs" (Session (pe, session))
+      (Printf.sprintf "fs.inval:%s:%s" srv kind)
+      (Key srv)
+      [ ("pe", Id pe); ("srv", Text srv); ("session", Id session);
+        ("kind", Text kind) ]
   | Vpe_create { vpe; pe; name } -> vpe_named "vpe.create" vpe pe name
   | Vpe_start { vpe; pe; name } -> vpe_named "vpe.start" vpe pe name
   | Vpe_exit { vpe; pe; code } ->
-    mark "vpe.exit" "vpe" (Vpe (pe, vpe)) "vpe.exit"
+    mark "vpe.exit" "vpe" (Vpe (pe, vpe)) "vpe.exit" Unlabelled
       [ ("vpe", Id vpe); ("pe", Id pe); ("code", Int code) ]
   | Pipe_push { vpe; pe; bytes } -> pipe "pipe.push" vpe pe bytes
   | Pipe_pop { vpe; pe; bytes } -> pipe "pipe.pop" vpe pe bytes
   | Pe_spawn { pe; name } ->
-    mark "pe.spawn" "pe" (Core pe) ("spawn:" ^ name)
+    mark "pe.spawn" "pe" (Core pe) ("spawn:" ^ name) Unlabelled
       [ ("pe", Id pe); ("name", Text name) ]
-  | Pe_halt { pe } -> mark "pe.halt" "pe" (Core pe) "halt" [ ("pe", Id pe) ]
+  | Pe_halt { pe } ->
+    mark "pe.halt" "pe" (Core pe) "halt" Unlabelled [ ("pe", Id pe) ]
   | Fault_drop { src; dst; bytes; msg; reason } ->
     mark "fault.drop" "fault" (Xfer (src, dst)) ("fault.drop:" ^ reason)
+      Unlabelled
       [ ("src", Id src); ("dst", Id dst); ("bytes", Sum bytes);
         ("msg", Int msg); ("reason", Text reason) ]
   | Fault_corrupt { src; dst; bytes; msg } ->
-    mark "fault.corrupt" "fault" (Xfer (src, dst)) "fault.corrupt"
+    mark "fault.corrupt" "fault" (Xfer (src, dst)) "fault.corrupt" Unlabelled
       [ ("src", Id src); ("dst", Id dst); ("bytes", Sum bytes);
         ("msg", Int msg) ]
   | Fault_stall { pe; cycles } ->
     {
-      (mark "fault.stall" "fault" (Core pe) "fault.stall"
+      (mark "fault.stall" "fault" (Core pe) "fault.stall" Unlabelled
          [ ("pe", Id pe); ("cycles", Time cycles) ])
       with
       span = Starting cycles;
     }
   | Dtu_nack { pe; ep; dst_pe; msg; reason } ->
-    mark "dtu.nack" "dtu" (Ep (pe, ep)) ("nack:" ^ reason)
+    mark "dtu.nack" "dtu" (Ep (pe, ep)) ("nack:" ^ reason) Unlabelled
       [ ("pe", Id pe); ("ep", Id ep); ("dst_pe", Int dst_pe); ("msg", Int msg);
         ("reason", Text reason) ]
   | Dtu_retry { pe; dst_pe; msg; attempt; backoff } ->
-    mark "dtu.retry" "dtu" (Core pe) "retry"
+    mark "dtu.retry" "dtu" (Core pe) "retry" Unlabelled
       [ ("pe", Id pe); ("dst_pe", Int dst_pe); ("msg", Int msg);
         ("attempt", Int attempt); ("backoff", Sum backoff) ]
   | Fault_pe_crash { pe } ->
-    mark "fault.pe_crash" "fault" (Core pe) "fault.pe_crash" [ ("pe", Id pe) ]
+    mark "fault.pe_crash" "fault" (Core pe) "fault.pe_crash" Unlabelled
+      [ ("pe", Id pe) ]
   | Vpe_crash { vpe; pe } ->
-    mark "vpe.crash" "vpe" (Vpe (pe, vpe)) "vpe.crash"
+    mark "vpe.crash" "vpe" (Vpe (pe, vpe)) "vpe.crash" Unlabelled
       [ ("vpe", Id vpe); ("pe", Id pe) ]
   | Vpe_abort { vpe; pe; reason } ->
-    mark "vpe.abort" "vpe" (Vpe (pe, vpe)) ("vpe.abort:" ^ reason)
+    mark "vpe.abort" "vpe" (Vpe (pe, vpe)) ("vpe.abort:" ^ reason) Unlabelled
       [ ("vpe", Id vpe); ("pe", Id pe); ("reason", Text reason) ]
   | Vpe_restart { vpe; pe; name; attempt } ->
-    mark "vpe.restart" "vpe" (Vpe (pe, vpe)) ("vpe.restart:" ^ name)
+    mark "vpe.restart" "vpe" (Vpe (pe, vpe)) ("vpe.restart:" ^ name) Unlabelled
       [ ("vpe", Id vpe); ("pe", Id pe); ("name", Text name);
         ("attempt", Int attempt) ]
   | Kernel_heartbeat { pe; probed; dead } ->
-    mark "kernel.heartbeat" "kernel" (Core pe) "heartbeat"
+    mark "kernel.heartbeat" "kernel" (Core pe) "heartbeat" Unlabelled
       [ ("pe", Id pe); ("probed", Sum probed); ("dead", Sum dead) ]
   | Serve_admit { pe; pool; seq; depth } ->
     serve "serve.admit" pe pool [ ("seq", Int seq); ("depth", Hist depth) ]
@@ -334,32 +313,27 @@ let describe = function
   | Vpe_suspend { vpe; pe; bytes } ->
     mark "vpe.suspend" "sched" (Core pe)
       (Printf.sprintf "vpe.suspend:vpe%d" vpe)
+      Unlabelled
       [ ("vpe", Int vpe); ("pe", Id pe); ("bytes", Sum bytes) ]
   | Vpe_resume { vpe; pe; from_pe; cold } ->
-    {
-      (mark "vpe.resume" "sched" (Core pe)
-         (Printf.sprintf "vpe.resume:vpe%d" vpe)
-         [ ("vpe", Int vpe); ("pe", Id pe); ("from_pe", Int from_pe);
-           ("cold", Flag cold) ])
-      with
-      label =
-        Key
-          (if cold then "cold" else if pe <> from_pe then "migrated"
-           else "in place");
-    }
+    let how =
+      if cold then "cold" else if pe <> from_pe then "migrated" else "in place"
+    in
+    mark "vpe.resume" "sched" (Core pe)
+      (Printf.sprintf "vpe.resume:vpe%d" vpe)
+      (Key how)
+      [ ("vpe", Int vpe); ("pe", Id pe); ("from_pe", Int from_pe);
+        ("cold", Flag cold) ]
   | Sched_switch { pe; out_vpe; in_vpe } ->
-    mark "sched.switch" "sched" (Core pe) "sched.switch"
+    mark "sched.switch" "sched" (Core pe) "sched.switch" Unlabelled
       [ ("pe", Id pe); ("out_vpe", Int out_vpe); ("in_vpe", Int in_vpe) ]
   | Pool_scale { pe; pool; dir; active } ->
     let dir = if dir > 0 then "up" else "down" in
-    {
-      (mark "pool.scale" "sched" (Core pe)
-         (Printf.sprintf "pool.scale:%s:%s" pool dir)
-         [ ("pe", Id pe); ("pool", Text pool); ("dir", Text dir);
-           ("active", Int active) ])
-      with
-      label = Key (pool ^ " " ^ dir);
-    }
+    mark "pool.scale" "sched" (Core pe)
+      (Printf.sprintf "pool.scale:%s:%s" pool dir)
+      (Key (pool ^ " " ^ dir))
+      [ ("pe", Id pe); ("pool", Text pool); ("dir", Text dir);
+        ("active", Int active) ]
   | Gw_throttle { pe; pool; client; seq } ->
     serve "gw.throttle" pe pool [ ("client", Int client); ("seq", Int seq) ]
   | Gw_break { pe; pool; worker; phase } ->
@@ -368,21 +342,17 @@ let describe = function
     {
       (mark "gw.upgrade" "serve" (Core pe)
          (Printf.sprintf "gw.upgrade:%s:%s" pool target)
+         (Key pool)
          [ ("pe", Id pe); ("pool", Text pool); ("target", Text target);
            ("cycles", Time cycles) ])
       with
       span = Ending cycles;
-      label = Key pool;
     }
   | Kv_op { pe; store; op; bucket; dup } ->
     let name = "kv." ^ op in
-    {
-      (mark name "kv" (Core pe) (name ^ ":" ^ store)
-         [ ("pe", Id pe); ("store", Text store); ("bucket", Int bucket);
-           ("dup", Flag dup) ])
-      with
-      label = Key store;
-    }
+    mark name "kv" (Core pe) (name ^ ":" ^ store) (Key store)
+      [ ("pe", Id pe); ("store", Text store); ("bucket", Int bucket);
+        ("dup", Flag dup) ]
 
 let name t = (describe t).name
 

@@ -10,12 +10,13 @@ type row = {
 }
 
 type acc = {
+  place : bool;
   mutable n : int;
   totals : (string * int ref) list;
   dists : (string * Stats.t) list;
 }
 
-type t = (string * string, bool * acc) Hashtbl.t
+type t = (string * string, acc) Hashtbl.t
 
 let create () : t = Hashtbl.create 64
 
@@ -35,22 +36,22 @@ let iter_amounts f (d : Event.desc) =
       | Event.Id _ | Event.Int _ | Event.Text _ | Event.Time _ -> ())
     d.Event.fields
 
-let fresh d =
+let fresh d place =
   let totals = ref [] and dists = ref [] in
   iter_amounts
     (fun k _ dist ->
       totals := (k, ref 0) :: !totals;
       if dist then dists := (k, Stats.create ()) :: !dists)
     d;
-  { n = 0; totals = List.rev !totals; dists = List.rev !dists }
+  { place; n = 0; totals = List.rev !totals; dists = List.rev !dists }
 
 let add t d label place =
   let acc =
     match Hashtbl.find_opt t (d.Event.name, label) with
-    | Some (_, acc) -> acc
+    | Some acc -> acc
     | None ->
-      let acc = fresh d in
-      Hashtbl.add t (d.Event.name, label) (place, acc);
+      let acc = fresh d place in
+      Hashtbl.add t (d.Event.name, label) acc;
       acc
   in
   acc.n <- acc.n + 1;
@@ -76,11 +77,11 @@ let rows t =
   List.sort
     (fun a b -> compare (a.name, a.label) (b.name, b.label))
     (Hashtbl.fold
-       (fun (name, label) (place, acc) rows ->
+       (fun (name, label) acc rows ->
          {
            name;
            label;
-           place;
+           place = acc.place;
            count = acc.n;
            sums = List.map (fun (k, r) -> (k, !r)) acc.totals;
            hists = acc.dists;
@@ -88,13 +89,11 @@ let rows t =
          :: rows)
        t [])
 
-let find t name label = Option.map snd (Hashtbl.find_opt t (name, label))
-
 let count t name label =
-  match find t name label with Some a -> a.n | None -> 0
+  match Hashtbl.find_opt t (name, label) with Some a -> a.n | None -> 0
 
 let field t name label key get =
-  Option.bind (find t name label) (fun a -> List.assoc_opt key (get a))
+  Option.bind (Hashtbl.find_opt t (name, label)) (fun a -> List.assoc_opt key (get a))
 
 let sum t name label key =
   Option.fold ~none:0 ~some:( ! ) (field t name label key (fun a -> a.totals))
