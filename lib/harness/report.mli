@@ -27,7 +27,10 @@ val print : Format.formatter -> verdict list -> unit
 (** [all_pass vs] *)
 val all_pass : verdict list -> bool
 
-(** [print_obs ppf m] renders the counters and latency percentiles a
-    traced run collected (event kinds, per-endpoint traffic, link
-    occupancy/queueing, syscall and m3fs latency distributions). *)
+(** [print_obs ppf m] renders the rows a traced run collected as one
+    table: a row per event kind, then the labelled rows of each dotted
+    family ([serve.*] per pool, [dtu.send]/[dtu.reply] per endpoint),
+    one line per label with each kind's count and the kinds' totals and
+    p50/p95/p99 merged. Key columns are sized from the longest key;
+    locations (endpoints, links) show only the busiest eight. *)
 val print_obs : Format.formatter -> M3_obs.Metrics.t -> unit
