@@ -165,7 +165,7 @@ type t =
     every [Hist] field. *)
 type value =
   | Id of int  (** locates the event; the track already shows it *)
-  | Int of int  (** a plain number: ids, sequence numbers, attempts *)
+  | Int of int  (** a plain number: message ids, sequence numbers *)
   | Sum of int  (** a quantity worth a total, e.g. bytes *)
   | Hist of int  (** a quantity worth a distribution: depths, sizes *)
   | Flag of bool
@@ -213,7 +213,9 @@ type desc = {
   span : span;
   flow : flow;
   label : label;
-  fields : (string * value) list;  (** the payload, in record order *)
+  fields : (string * value) list;
+      (** the payload in record order, less what the name carries
+          ([reply], [phase], [op]) *)
 }
 
 val describe : t -> desc
