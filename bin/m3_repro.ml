@@ -3,7 +3,7 @@
 
    Examples:
      m3_repro run fig3 fig5
-     m3_repro run --all -v
+     m3_repro run --all -v      # every experiment, then the verdict
      m3_repro platform --pes 16
      m3_repro demo *)
 
@@ -15,47 +15,59 @@ let setup_logs verbose =
 
 let ppf = Format.std_formatter
 
-(* Each experiment takes a [quick] flag; most ignore it (their full
-   runs are already CI-sized), fig6x uses it to shrink its sweep. *)
+module H = M3_harness
+
+(* Each experiment takes a [quick] flag (fig6x, figS and figS2 shrink
+   their sweeps; the rest are already CI-sized), prints its table and
+   returns the verdicts on the paper's claims its results cover. *)
 let experiments =
+  let show print t =
+    print ppf t;
+    t
+  in
+  let written write_json file t =
+    write_json t file;
+    Format.fprintf ppf "results written to %s@." file;
+    []
+  in
   [
     ( "fig3",
-      fun ~quick:_ -> M3_harness.Fig3.print ppf (M3_harness.Fig3.run ()) );
+      fun ~quick:_ ->
+        H.Report.validate ~fig3:(show H.Fig3.print (H.Fig3.run ())) () );
     ( "fig4",
-      fun ~quick:_ -> M3_harness.Fig4.print ppf (M3_harness.Fig4.run ()) );
+      fun ~quick:_ ->
+        H.Report.validate ~fig4:(show H.Fig4.print (H.Fig4.run ())) () );
     ( "fig5",
-      fun ~quick:_ -> M3_harness.Fig5.print ppf (M3_harness.Fig5.run ()) );
+      fun ~quick:_ ->
+        H.Report.validate ~fig5:(show H.Fig5.print (H.Fig5.run ())) () );
     ( "fig6",
-      fun ~quick:_ -> M3_harness.Fig6.print ppf (M3_harness.Fig6.run ()) );
+      fun ~quick:_ ->
+        H.Report.validate ~fig6:(show H.Fig6.print (H.Fig6.run ())) () );
     ( "fig6x",
       fun ~quick ->
-        let t = M3_harness.Fig6x.run ~quick () in
-        M3_harness.Fig6x.print ppf t;
-        M3_harness.Fig6x.write_json t "FIG6X_results.json";
-        Format.fprintf ppf "results written to FIG6X_results.json@." );
+        written H.Fig6x.write_json "FIG6X_results.json"
+          (show H.Fig6x.print (H.Fig6x.run ~quick ())) );
     ( "fig7",
-      fun ~quick:_ -> M3_harness.Fig7.print ppf (M3_harness.Fig7.run ()) );
+      fun ~quick:_ ->
+        H.Report.validate ~fig7:(show H.Fig7.print (H.Fig7.run ())) () );
     ( "figS",
       fun ~quick ->
-        let t = M3_harness.Figs.run ~quick () in
-        M3_harness.Figs.print ppf t;
-        M3_harness.Figs.write_json t "SERVE_results.json";
-        Format.fprintf ppf "results written to SERVE_results.json@." );
+        written H.Figs.write_json "SERVE_results.json"
+          (show H.Figs.print (H.Figs.run ~quick ())) );
     ( "figS2",
       fun ~quick ->
-        let t = M3_harness.Figs2.run ~quick () in
-        M3_harness.Figs2.print ppf t;
-        M3_harness.Figs2.write_json t "FIGS2_results.json";
-        Format.fprintf ppf "results written to FIGS2_results.json@." );
+        written H.Figs2.write_json "FIGS2_results.json"
+          (show H.Figs2.print (H.Figs2.run ~quick ())) );
     ( "t1",
-      fun ~quick:_ -> M3_harness.Tables.print_t1 ppf (M3_harness.Tables.run_t1 ())
-    );
+      fun ~quick:_ ->
+        H.Report.validate ~t1:(show H.Tables.print_t1 (H.Tables.run_t1 ())) () );
     ( "t2",
-      fun ~quick:_ -> M3_harness.Tables.print_t2 ppf (M3_harness.Tables.run_t2 ())
-    );
+      fun ~quick:_ ->
+        H.Report.validate ~t2:(show H.Tables.print_t2 (H.Tables.run_t2 ())) () );
     ( "ablations",
-      fun ~quick:_ -> M3_harness.Ablations.print ppf (M3_harness.Ablations.run ())
-    );
+      fun ~quick:_ ->
+        H.Ablations.print ppf (H.Ablations.run ());
+        [] );
   ]
 
 let names = List.map fst experiments
@@ -89,12 +101,18 @@ let run_cmd =
   in
   let run which all quick verbose =
     setup_logs verbose;
-    let which = if all || which = [] then names else which in
-    List.iter
-      (fun name ->
-        (List.assoc name experiments) ~quick;
-        Format.fprintf ppf "@.")
-      which
+    let everything = all || which = [] in
+    let verdicts =
+      List.concat_map
+        (fun name ->
+          let v = (List.assoc name experiments) ~quick in
+          Format.fprintf ppf "@.";
+          v)
+        (if everything then names else which)
+    in
+    (* The reproduction verdict closes a full run only, so each
+       experiment's own output stays the same alone or in a list. *)
+    if everything then H.Report.print ppf verdicts
   in
   let doc = "Reproduce the paper's evaluation figures and tables." in
   Cmd.v (Cmd.info "run" ~doc) Term.(const run $ which $ all $ quick $ verbose)
@@ -207,7 +225,7 @@ let trace_cmd =
     Fun.protect
       ~finally:(fun () -> M3_harness.Runner.observer := None)
       (fun () ->
-        (List.assoc which experiments) ~quick:false;
+        ignore ((List.assoc which experiments) ~quick:false);
         Format.fprintf ppf "@.");
     M3_obs.Chrome.write_file chrome out;
     M3_harness.Report.print_obs ppf metrics;

@@ -48,6 +48,11 @@ type t = {
 val run : unit -> t
 val print : Format.formatter -> t -> unit
 
+(** [hop_latency_cell hop] — one A3 cell at [hop] cycles per router
+    hop; [cycles] is the null syscall, [aux] the bulk read (exposed for
+    tests). *)
+val hop_latency_cell : int -> point
+
 (** [service_instances_bench ~clients ~instances] — average per-client
     cycles of the A5 scenario (exposed for tests). *)
 val service_instances_bench : clients:int -> instances:int -> int

@@ -88,22 +88,9 @@ let warm_find_pass ~primed () =
   in
   (m, !rt, !hits, !misses)
 
-(* The two passes are complete, independent systems, so they can run
-   on separate domains ([?domains] > 1) with bit-identical results. *)
-let warm_find ?(domains = 1) () =
-  let cold_r, warm_r =
-    match
-      M3_sim.Domainpool.run ~domains
-        [
-          (fun () -> warm_find_pass ~primed:false ());
-          (fun () -> warm_find_pass ~primed:true ());
-        ]
-    with
-    | [ c; w ] -> (c, w)
-    | _ -> assert false
-  in
-  let cold, cold_rt, _, _ = cold_r in
-  let warm, warm_rt, hits, misses = warm_r in
+let warm_find () =
+  let cold, cold_rt, _, _ = warm_find_pass ~primed:false () in
+  let warm, warm_rt, hits, misses = warm_find_pass ~primed:true () in
   {
     wf_cold = cold;
     wf_warm = warm;

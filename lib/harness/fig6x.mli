@@ -57,10 +57,8 @@ type t = {
 val warm_find_pass : primed:bool -> unit -> Runner.measure * int * int * int
 
 (** [warm_find ()] measures just the warm-find cell (cheap — two find
-    replays); {!run} embeds the same cell in the full sweep.
-    [?domains] runs the two independent passes on that many domains
-    (default 1) — the results are bit-identical either way. *)
-val warm_find : ?domains:int -> unit -> warm_find
+    replays); {!run} embeds the same cell in the full sweep. *)
+val warm_find : unit -> warm_find
 
 (** The warm-cache acceptance gate: the warm walk costs at least 1.5x
     fewer service round-trips than the cold one. *)

@@ -1,7 +1,7 @@
 (** Reproduction verdict: checks the paper's qualitative claims against
     the measured results and prints a PASS/FAIL summary — the same
-    checks the test suite enforces, rendered for humans at the end of a
-    benchmark run. *)
+    checks the test suite enforces, rendered for humans at the end of
+    [m3_repro run --all]. *)
 
 type verdict = {
   claim : string;    (** what the paper says *)

@@ -54,6 +54,24 @@ let test_no_perturbation () =
   Alcotest.(check int) "os identical" base.Runner.m_os traced.Runner.m_os;
   Alcotest.(check int) "xfer identical" base.Runner.m_xfer traced.Runner.m_xfer
 
+(* --- every harness cell reaches the bus --------------------------------- *)
+
+(* Cells that once built their own engine bypassed the observer hook
+   and traced nothing: Fig. 6's multi-instance runs and the hand-built
+   ablation systems. *)
+let vpe_starts run =
+  let metrics = Metrics.create () in
+  with_observer (fun o -> Obs.attach o (Metrics.sink metrics)) run;
+  Metrics.count metrics "vpe.start" ""
+
+let test_cells_observed () =
+  let fig6 = vpe_starts (fun () -> ignore (M3_harness.Fig6.run ~counts:[ 1 ] ())) in
+  Alcotest.(check bool) "fig6 cells start traced VPEs" true (fig6 > 0);
+  let a3 =
+    vpe_starts (fun () -> ignore (M3_harness.Ablations.hop_latency_cell 3))
+  in
+  Alcotest.(check bool) "an A3 cell starts traced VPEs" true (a3 > 0)
+
 (* --- Chrome trace JSON ------------------------------------------------- *)
 
 (* Minimal JSON validator (no JSON library in the tree): accepts
@@ -254,5 +272,6 @@ let suites =
         tc "tracing does not perturb cycle counts" test_no_perturbation;
         tc "chrome trace is well-formed JSON with flows" test_chrome_json;
         tc "traced transfers match Xfer accounting" test_counter_consistency;
+        tc "fig6 and ablation cells reach the observer" test_cells_observed;
       ] );
   ]
