@@ -5,10 +5,7 @@ module W = struct
 
   let u8 t v = Buffer.add_char t (Char.chr (v land 0xff))
 
-  let i64 t v =
-    let b = Bytes.create 8 in
-    Bytes.set_int64_le b 0 v;
-    Buffer.add_bytes t b
+  let i64 t v = Buffer.add_int64_le t v
 
   let u64 t v = i64 t (Int64.of_int v)
 

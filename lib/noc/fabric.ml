@@ -25,11 +25,27 @@ let default_config =
 (* Per-packet header: route / flow-control information on the wire. *)
 let packet_header_bytes = 8
 
+(* One directed link of a cached route, with the endpoints the
+   [Noc_link] event names. *)
+type hop = {
+  link : link;
+  hop_src : int;
+  hop_dst : int;
+}
+
 type t = {
   engine : Engine.t;
   topology : Topology.t;
   config : config;
   links : (int * int, link) Hashtbl.t;
+  (* Route cache, indexed [src * nodes + dst]: the hops of each pair
+     are resolved to their link records on its first transfer, so
+     later transfers neither build the XY route nor look links up.
+     [||] until then (a route between distinct nodes is never empty). *)
+  routes : hop array array;
+  (* Per-hop entry cycles of the worm being placed (wormhole mode);
+     long enough for any XY route of the mesh. *)
+  enters : int array;
   mutable packets : int;
   mutable bytes : int;
   (* Observability bus; the fabric is reachable from every layer, so
@@ -44,11 +60,14 @@ let create engine topology ~config =
   if config.hop_latency < 0 || config.bytes_per_cycle <= 0
      || config.max_packet <= 0
   then invalid_arg "Fabric.create: bad config";
+  let nodes = Topology.node_count topology in
   {
     engine;
     topology;
     config;
     links = Hashtbl.create 64;
+    routes = Array.make (nodes * nodes) [||];
+    enters = Array.make (Topology.cols topology + Topology.rows topology) 0;
     packets = 0;
     bytes = 0;
     obs = Obs.null;
@@ -74,25 +93,42 @@ let link t key =
 let serialization t bytes =
   max 1 ((bytes + t.config.bytes_per_cycle - 1) / t.config.bytes_per_cycle)
 
+let route t ~src ~dst =
+  let nodes = Topology.node_count t.topology in
+  if src < 0 || src >= nodes || dst < 0 || dst >= nodes then
+    invalid_arg
+      (Printf.sprintf "Fabric.transfer: node %d or %d out of range" src dst);
+  let i = (src * nodes) + dst in
+  match t.routes.(i) with
+  | [||] ->
+    let hops =
+      Topology.route t.topology ~src ~dst
+      |> List.map (fun ((hop_src, hop_dst) as key) ->
+             { link = link t key; hop_src; hop_dst })
+      |> Array.of_list
+    in
+    t.routes.(i) <- hops;
+    hops
+  | hops -> hops
+
 (* Packet switching: claims each link of the route in order, respecting
    current occupancy, and returns the arrival time of its tail. *)
-let send_packet_store_forward t ~route ~bytes ~msg ~depart =
+let send_packet_store_forward t route ~bytes ~msg ~depart =
   let ser = serialization t (bytes + packet_header_bytes) in
   let head = ref depart in
-  List.iter
-    (fun ((link_src, link_dst) as hop) ->
-      let l = link t hop in
-      let ideal = !head + t.config.hop_latency in
-      let enter = max ideal l.free_at in
-      l.free_at <- enter + ser;
-      l.busy <- l.busy + ser;
-      if Obs.enabled t.obs then
-        Obs.emit_at t.obs ~at:enter
-          (Event.Noc_link
-             { link_src; link_dst; enter; leave = enter + ser;
-               queued = enter - ideal; msg });
-      head := enter)
-    route;
+  for i = 0 to Array.length route - 1 do
+    let { link = l; hop_src = link_src; hop_dst = link_dst } = route.(i) in
+    let ideal = !head + t.config.hop_latency in
+    let enter = max ideal l.free_at in
+    l.free_at <- enter + ser;
+    l.busy <- l.busy + ser;
+    if Obs.enabled t.obs then
+      Obs.emit_at t.obs ~at:enter
+        (Event.Noc_link
+           { link_src; link_dst; enter; leave = enter + ser;
+             queued = enter - ideal; msg });
+    head := enter
+  done;
   !head + ser
 
 (* Wormhole switching: the head acquires links hop by hop (stalling on
@@ -100,39 +136,42 @@ let send_packet_store_forward t ~route ~bytes ~msg ~depart =
    drained through the last link — a blocked worm keeps its upstream
    links busy. This slightly over-holds upstream links of a stalled
    worm (by at most hops x hop_latency), a conservative approximation
-   of zero-buffer flit backpressure. *)
-let send_packet_wormhole t ~route ~bytes ~msg ~depart =
+   of zero-buffer flit backpressure. An XY route never uses a link
+   twice, so each hop's [free_at] is still the pre-worm value when the
+   second pass, last hop first, releases it. *)
+let send_packet_wormhole t route ~bytes ~msg ~depart =
   let flits = serialization t (bytes + packet_header_bytes) in
   let head = ref depart in
-  let acquired = ref [] in
-  List.iter
-    (fun ((link_src, link_dst) as hop) ->
-      let l = link t hop in
-      let ideal = !head + t.config.hop_latency in
-      let enter = max ideal l.free_at in
-      if Obs.enabled t.obs then
-        acquired := (l, link_src, link_dst, enter, enter - ideal) :: !acquired
-      else acquired := (l, link_src, link_dst, enter, 0) :: !acquired;
-      head := enter)
-    route;
+  for i = 0 to Array.length route - 1 do
+    let l = route.(i).link in
+    let enter = max (!head + t.config.hop_latency) l.free_at in
+    t.enters.(i) <- enter;
+    head := enter
+  done;
   let tail_done = !head + flits in
-  List.iter
-    (fun (l, link_src, link_dst, enter, queued) ->
-      l.busy <- l.busy + (tail_done - max l.free_at depart);
-      l.free_at <- tail_done;
-      if Obs.enabled t.obs then
-        Obs.emit_at t.obs ~at:enter
-          (Event.Noc_link
-             { link_src; link_dst; enter; leave = tail_done; queued; msg }))
-    !acquired;
+  for i = Array.length route - 1 downto 0 do
+    let { link = l; hop_src = link_src; hop_dst = link_dst } = route.(i) in
+    let enter = t.enters.(i) in
+    l.busy <- l.busy + (tail_done - max l.free_at depart);
+    l.free_at <- tail_done;
+    if Obs.enabled t.obs then begin
+      let ideal =
+        (if i = 0 then depart else t.enters.(i - 1)) + t.config.hop_latency
+      in
+      Obs.emit_at t.obs ~at:enter
+        (Event.Noc_link
+           { link_src; link_dst; enter; leave = tail_done;
+             queued = enter - ideal; msg })
+    end
+  done;
   tail_done
 
-let send_packet t ~route ~bytes ~msg ~depart =
+let send_packet t route ~bytes ~msg ~depart =
   t.packets <- t.packets + 1;
   t.bytes <- t.bytes + bytes;
   match t.config.mode with
-  | `Packet -> send_packet_store_forward t ~route ~bytes ~msg ~depart
-  | `Wormhole -> send_packet_wormhole t ~route ~bytes ~msg ~depart
+  | `Packet -> send_packet_store_forward t route ~bytes ~msg ~depart
+  | `Wormhole -> send_packet_wormhole t route ~bytes ~msg ~depart
 
 let pure_latency t ~src ~dst ~bytes =
   if src = dst then 1
@@ -174,13 +213,13 @@ let transfer ?(msg = 0) ?on_fault t ~src ~dst ~bytes ~on_deliver =
         M3_fault.Plan.xfer_outcome t.faults ~src ~dst ~bytes
       | _ -> M3_fault.Plan.Deliver
     in
-    let route = Topology.route t.topology ~src ~dst in
+    let route = route t ~src ~dst in
     let remaining = ref bytes and depart = ref now and arrival = ref now in
     (* A zero-byte message still occupies one header packet. *)
     let continue = ref true in
     while !continue do
       let chunk = min !remaining t.config.max_packet in
-      let arrive = send_packet t ~route ~bytes:chunk ~msg ~depart:!depart in
+      let arrive = send_packet t route ~bytes:chunk ~msg ~depart:!depart in
       arrival := max !arrival arrive;
       (* Next packet can leave as soon as this one has fully entered
          the first link (pipelining across packets). *)

@@ -12,6 +12,7 @@ type t = {
   engine : Engine.t;
   mutable state : status;
   mutable kill_requested : bool;
+  as_current : t option;  (* [Some self], built once for [with_current] *)
 }
 
 exception Killed
@@ -28,11 +29,29 @@ type _ Effect.t +=
 let current : t option ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref None)
 
-let with_current p f =
+(* [with_current p f a b] runs [f p a b] as process [p], restoring the
+   previous current process afterwards. A [match ... with exception]
+   rather than [Fun.protect]: this runs on every resume, and the
+   protect closure and its handler record would be allocated each time. *)
+let with_current p f a b =
   let cell = Domain.DLS.get current in
   let saved = !cell in
-  cell := Some p;
-  Fun.protect ~finally:(fun () -> cell := saved) f
+  cell := p.as_current;
+  match f p a b with
+  | () -> cell := saved
+  | exception e ->
+    let bt = Printexc.get_raw_backtrace () in
+    cell := saved;
+    Printexc.raise_with_backtrace e bt
+
+(* The continuation's next step: the kill point of every wait/suspend. *)
+let step p k v =
+  if p.kill_requested then Effect.Deep.discontinue k Killed
+  else Effect.Deep.continue k v
+
+(* Top level, so that a parked process costs one scheduled closure
+   (over [p], [k] and [v]) rather than two nested ones. *)
+let resume p k v = with_current p step k v
 
 let self () =
   match !(Domain.DLS.get current) with
@@ -42,7 +61,10 @@ let self () =
 let check_killed p = if p.kill_requested then raise Killed
 
 let spawn engine ~name f =
-  let p = { name; engine; state = Running; kill_requested = false } in
+  let rec p =
+    { name; engine; state = Running; kill_requested = false;
+      as_current = Some p }
+  in
   let finish () = if p.state = Running then p.state <- Finished in
   let fail e =
     Log.debug (fun m -> m "process %s failed: %s" name (Printexc.to_string e));
@@ -63,34 +85,29 @@ let spawn engine ~name f =
           | Wait (q, n) when q == p ->
             Some
               (fun (k : (a, unit) continuation) ->
-                Engine.schedule engine ~delay:n (fun () ->
-                    with_current p (fun () ->
-                        if p.kill_requested then discontinue k Killed
-                        else continue k ())))
+                Engine.schedule engine ~delay:n (fun () -> resume p k ()))
           | Suspend (q, register) when q == p ->
             Some
               (fun (k : (a, unit) continuation) ->
                 let resumed = ref false in
-                let resume v =
+                let wake v =
                   if not !resumed then begin
                     resumed := true;
-                    Engine.schedule engine ~delay:0 (fun () ->
-                        with_current p (fun () ->
-                            if p.kill_requested then discontinue k Killed
-                            else continue k v))
+                    Engine.schedule engine ~delay:0 (fun () -> resume p k v)
                   end
                 in
-                register resume)
+                register wake)
           | _ -> None);
     }
   in
-  Engine.schedule engine ~delay:0 (fun () ->
-      with_current p (fun () ->
-          match_with
-            (fun () ->
-              check_killed p;
-              f ())
-            () handler));
+  let start p f handler =
+    match_with
+      (fun () ->
+        check_killed p;
+        f ())
+      () handler
+  in
+  Engine.schedule engine ~delay:0 (fun () -> with_current p start f handler);
   p
 
 let name p = p.name

@@ -135,6 +135,39 @@ let test_zero_byte_message () =
 
 let wormhole_config = { Fabric.default_config with mode = `Wormhole }
 
+let test_out_of_range_rejected () =
+  (* Checked before the route cache is indexed, so a bad node is an
+     [Invalid_argument], never an [Index_out_of_bounds]. *)
+  let _, fabric = make_fabric () in
+  List.iter
+    (fun (src, dst) ->
+      match
+        Fabric.transfer fabric ~src ~dst ~bytes:8 ~on_deliver:(fun () -> ())
+      with
+      | () -> Alcotest.failf "transfer %d -> %d accepted" src dst
+      | exception Invalid_argument _ -> ())
+    [ (-1, 3); (0, 16); (16, 0); (3, -1); (100, 200) ]
+
+let test_cached_route_repeats () =
+  (* The second send of a pair hits the route cache; on an idle fabric
+     it must cost what the first send did on a fresh one. *)
+  let send_idle engine fabric =
+    let start = Engine.now engine and at = ref 0 in
+    let busy () = Fabric.link_busy_cycles fabric ~src:1 ~dst:2 in
+    let busy0 = busy () in
+    Fabric.transfer fabric ~src:0 ~dst:6 ~bytes:3000 ~on_deliver:(fun () ->
+        at := Engine.now engine);
+    ignore (Engine.run engine);
+    (!at - start, busy () - busy0)
+  in
+  List.iter
+    (fun config ->
+      let engine, fabric = make_fabric ~config () in
+      let first = send_idle engine fabric in
+      let second = send_idle engine fabric in
+      Alcotest.(check (pair int int)) "latency and link busy" first second)
+    [ Fabric.default_config; wormhole_config ]
+
 let test_wormhole_uncontended_matches_packet () =
   (* Without contention, single-packet transfers are identical in both
      modes; multi-packet transfers differ only by the per-hop holding
@@ -225,6 +258,8 @@ let suites =
         tc "disjoint paths run in parallel" test_disjoint_paths_parallel;
         tc "statistics counters" test_stats_counters;
         tc "zero-byte message" test_zero_byte_message;
+        tc "out-of-range nodes rejected" test_out_of_range_rejected;
+        tc "cached route repeats a fresh send" test_cached_route_repeats;
         tc "wormhole matches packet when uncontended"
           test_wormhole_uncontended_matches_packet;
         tc "wormhole tree saturation" test_wormhole_tree_saturation;

@@ -1,10 +1,9 @@
-(* Tests for host-side parallelism across simulations: heap slot
+(* Tests for host-side parallelism across simulations: event-queue slot
    clearing, atomic id minting, the domain pool, and — the load-bearing
    property — byte-identical simulated results when independent
    replicas run at 1, 2 and 4 domains. *)
 
 module Engine = M3_sim.Engine
-module Heap = M3_sim.Heap
 module Domainpool = M3_sim.Domainpool
 module Obs = M3_obs.Obs
 module Runner = M3_harness.Runner
@@ -13,61 +12,71 @@ module Fig6x = M3_harness.Fig6x
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* --- heap: popped slots must not pin their entries ------------------- *)
+(* --- event heap: popped slots must not pin their entries ------------- *)
 
 (* Kept out of the test body so the payload cannot stay live in the
-   caller's frame: once this returns, only the heap's backing array
-   could still reference it. *)
-let[@inline never] push_pop_cycle h =
+   caller's frame: once this returns, only the engine's queue arrays
+   could still reference the event closure that captured it. *)
+let[@inline never] schedule_run_cycle e =
   let payload = Array.make 1024 0 in
   let w = Weak.create 1 in
   Weak.set w 0 (Some payload);
-  Heap.push h ~key:1 payload;
-  (match Heap.pop h with
-  | Some (_, v) -> assert (v == payload)
-  | None -> assert false);
+  let seen = ref false in
+  Engine.schedule e ~delay:1 (fun () -> seen := payload.(0) = 0);
+  Engine.run_until e ~time:1;
+  assert !seen;
   w
 
 let test_heap_no_pinning () =
-  let h = Heap.create () in
-  (* A surviving entry, so the heap stays allocated across the pop. *)
-  Heap.push h ~key:5 (Array.make 1 0);
-  let w = push_pop_cycle h in
+  let e = Engine.create () in
+  (* A surviving event, so the queue stays allocated across the pop. *)
+  Engine.schedule e ~delay:5 ignore;
+  let w = schedule_run_cycle e in
   Gc.full_major ();
-  check_bool "drained slot holds no reference to the popped entry" true
+  check_int "survivor still queued" 1 (Engine.pending e);
+  check_bool "drained slot holds no reference to the popped event" true
     (Weak.get w 0 = None)
 
-(* --- heap: property test against a sorted-list oracle ---------------- *)
+(* --- event heap: property test against a sorted-list oracle --------- *)
 
-(* [Some k] pushes with key [k], [None] pops; the oracle is a stable
-   sorted association list, so FIFO-among-equal-keys is checked too. *)
+(* [Some d] schedules an event [d] cycles ahead; [None] runs the events
+   of the earliest pending cycle with [run_until]. The oracle is a
+   stable sorted association list of (cycle, id), so FIFO among equal
+   cycles is checked too: the ids the events log must come out in the
+   oracle's order. *)
 let qcheck_heap_oracle =
   QCheck.Test.make ~name:"heap matches a sorted-list oracle under push/pop"
     ~count:300
     QCheck.(list (option (int_bound 30)))
     (fun ops ->
-      let h = Heap.create () in
+      let e = Engine.create () in
+      let log = ref [] in
       let oracle = ref [] in
       let seq = ref 0 in
       List.for_all
         (fun op ->
           match op with
-          | Some k ->
-            Heap.push h ~key:k !seq;
+          | Some d ->
+            let k = Engine.now e + d and id = !seq in
+            Engine.schedule e ~delay:d (fun () -> log := (Engine.now e, id) :: !log);
             let rec ins = function
               | (k', v) :: rest when k' <= k -> (k', v) :: ins rest
-              | rest -> (k, !seq) :: rest
+              | rest -> (k, id) :: rest
             in
             oracle := ins !oracle;
             incr seq;
-            Heap.length h = List.length !oracle
-            && Heap.min_key h = Option.map fst (List.nth_opt !oracle 0)
+            Engine.pending e = List.length !oracle
           | None -> (
             match !oracle with
-            | [] -> Heap.pop h = None
-            | entry :: rest ->
+            | [] -> Engine.pending e = 0
+            | (k, _) :: _ ->
+              let due, rest = List.partition (fun (k', _) -> k' = k) !oracle in
               oracle := rest;
-              Heap.pop h = Some entry))
+              log := [];
+              Engine.run_until e ~time:k;
+              List.rev !log = due
+              && Engine.now e = k
+              && Engine.pending e = List.length rest))
         ops)
 
 (* --- atomic id minting across domains -------------------------------- *)

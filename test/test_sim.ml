@@ -2,7 +2,6 @@
 
 module Engine = M3_sim.Engine
 module Process = M3_sim.Process
-module Heap = M3_sim.Heap
 module Rng = M3_sim.Rng
 module Account = M3_sim.Account
 module Stats = M3_sim.Stats
@@ -10,45 +9,51 @@ module Stats = M3_sim.Stats
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
-(* --- heap --- *)
+(* --- the engine's event heap ---
+
+   Driven through [schedule]/[run]/[pending]: each event records its
+   own payload, so the run order is the pop order. *)
+
+let drain_order e log =
+  ignore (Engine.run e);
+  List.rev !log
 
 let test_heap_order () =
-  let h = Heap.create () in
-  List.iter (fun k -> Heap.push h ~key:k k) [ 5; 1; 4; 1; 3; 9; 2 ];
-  let rec drain acc =
-    match Heap.pop h with
-    | None -> List.rev acc
-    | Some (_, v) -> drain (v :: acc)
-  in
-  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain [])
+  let e = Engine.create () and log = ref [] in
+  List.iter
+    (fun k -> Engine.schedule e ~delay:k (fun () -> log := k :: !log))
+    [ 5; 1; 4; 1; 3; 9; 2 ];
+  Alcotest.(check (list int)) "sorted" [ 1; 1; 2; 3; 4; 5; 9 ] (drain_order e log)
 
 let test_heap_fifo_ties () =
-  let h = Heap.create () in
-  List.iteri (fun i name -> Heap.push h ~key:7 (i, name)) [ "a"; "b"; "c" ];
-  let order =
-    List.init 3 (fun _ ->
-        match Heap.pop h with Some (_, (_, n)) -> n | None -> "?")
-  in
-  Alcotest.(check (list string)) "FIFO among equal keys" [ "a"; "b"; "c" ] order
+  let e = Engine.create () and log = ref [] in
+  List.iter
+    (fun name -> Engine.schedule e ~delay:7 (fun () -> log := name :: !log))
+    [ "a"; "b"; "c" ];
+  Alcotest.(check (list string))
+    "FIFO among equal keys" [ "a"; "b"; "c" ] (drain_order e log)
 
+(* Events schedule further events while the queue drains, so pushes and
+   pops interleave inside the heap. *)
 let test_heap_interleaved () =
-  let h = Heap.create () in
-  for i = 0 to 999 do
-    Heap.push h ~key:(i * 7 mod 101) i
-  done;
-  let prev = ref (-1) in
-  let ok = ref true in
-  let rec drain () =
-    match Heap.pop h with
-    | None -> ()
-    | Some (k, _) ->
-      if k < !prev then ok := false;
-      prev := k;
-      drain ()
+  let e = Engine.create () in
+  let prev = ref (-1) and ok = ref true and ran = ref 0 in
+  let rec event i () =
+    incr ran;
+    if Engine.now e < !prev then ok := false;
+    prev := Engine.now e;
+    if i < 1000 then Engine.schedule e ~delay:(i * 7 mod 101) (event (i + 1))
   in
-  drain ();
+  for i = 0 to 99 do
+    Engine.schedule e ~delay:(i * 13 mod 37) (event (i * 10))
+  done;
+  ignore (Engine.run e);
   check_bool "monotone keys" true !ok;
-  check_bool "empty at end" true (Heap.is_empty h)
+  (* The chain started at [i * 10] runs events [i * 10 .. 1000]. *)
+  check_int "every event ran"
+    (List.fold_left ( + ) 0 (List.init 100 (fun i -> 1001 - (i * 10))))
+    !ran;
+  check_int "empty at end" 0 (Engine.pending e)
 
 (* --- engine --- *)
 
@@ -91,6 +96,48 @@ let test_engine_rejects_past () =
         "Engine.schedule_at: time 1 is in the past (now 3)")
         (fun () -> Engine.schedule_at e ~time:1 (fun () -> ())));
   ignore (Engine.run e)
+
+(* --- allocation ceilings ---
+
+   Once the queue has grown, scheduling and stepping allocate nothing
+   but the event's own closure, and a process resume adds only the
+   effect, its continuation and one scheduled closure. These ceilings
+   pin that: each loop runs [alloc_iterations] events in one [run], so
+   the run's fixed cost is noise. *)
+
+let alloc_iterations = 10_000
+
+let minor_words_per_event run =
+  let before = Gc.minor_words () in
+  run ();
+  (Gc.minor_words () -. before) /. float_of_int alloc_iterations
+
+let check_ceiling what ceiling words =
+  check_bool
+    (Printf.sprintf "%s: %.1f minor words/event <= %.0f" what words ceiling)
+    true (words <= ceiling)
+
+let test_alloc_schedule_step () =
+  let e = Engine.create () in
+  let left = ref alloc_iterations in
+  let rec tick () =
+    decr left;
+    if !left > 0 then Engine.schedule e ~delay:1 tick
+  in
+  Engine.schedule e ~delay:1 tick;
+  check_ceiling "schedule + step" 8.0
+    (minor_words_per_event (fun () -> ignore (Engine.run e)))
+
+let test_alloc_process_wait () =
+  let e = Engine.create () in
+  let _p =
+    Process.spawn e ~name:"waiter" (fun () ->
+        for _ = 1 to alloc_iterations do
+          Process.wait 1
+        done)
+  in
+  check_ceiling "Process.wait 1" 32.0
+    (minor_words_per_event (fun () -> ignore (Engine.run e)))
 
 (* --- processes --- *)
 
@@ -342,12 +389,11 @@ let qcheck_heap_sorts =
   QCheck.Test.make ~name:"heap drains keys in sorted order" ~count:200
     QCheck.(list small_int)
     (fun keys ->
-      let h = Heap.create () in
-      List.iter (fun k -> Heap.push h ~key:k k) keys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some (k, _) -> drain (k :: acc)
-      in
-      drain [] = List.sort compare keys)
+      let e = Engine.create () and log = ref [] in
+      List.iter
+        (fun k -> Engine.schedule e ~delay:k (fun () -> log := Engine.now e :: !log))
+        keys;
+      drain_order e log = List.sort compare keys)
 
 let qcheck_alloc_roundtrip =
   QCheck.Test.make ~name:"process wait sums delays" ~count:100
@@ -376,6 +422,11 @@ let suites =
         tc "nested scheduling" test_engine_nested_schedule;
         tc "run_until stops at boundary" test_engine_run_until;
         tc "rejects scheduling in the past" test_engine_rejects_past;
+      ] );
+    ( "sim.alloc",
+      [
+        tc "schedule + step allocates at most 8 words" test_alloc_schedule_step;
+        tc "a wait step allocates at most 32 words" test_alloc_process_wait;
       ] );
     ( "sim.process",
       [
