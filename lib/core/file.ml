@@ -73,15 +73,14 @@ let private_entry ~size =
 
 (* --- observability ------------------------------------------------------ *)
 
-let emit (env : Env.t) ev =
-  let obs = Fabric.obs env.fabric in
-  if Obs.enabled obs then Obs.emit obs ev
+let tracing (env : Env.t) = Obs.enabled (Fabric.obs env.fabric)
+let emit (env : Env.t) ev = Obs.emit (Fabric.obs env.fabric) ev
 
 let cache_hit (env : Env.t) kind =
-  emit env (Event.Fs_cache_hit { pe = Pe.id env.pe; kind })
+  if tracing env then emit env (Event.Fs_cache_hit { pe = Pe.id env.pe; kind })
 
 let cache_miss (env : Env.t) kind =
-  emit env (Event.Fs_cache_miss { pe = Pe.id env.pe; kind })
+  if tracing env then emit env (Event.Fs_cache_miss { pe = Pe.id env.pe; kind })
 
 (* --- session plumbing -------------------------------------------------- *)
 
@@ -175,8 +174,9 @@ let flush_cache (env : Env.t) m ~reason =
   | Some c ->
     Fs_cache.flush c;
     m.m_dir_cache <- None;
-    emit env
-      (Event.Fs_cache_flush
+    if tracing env then
+      emit env
+        (Event.Fs_cache_flush
          { pe = Pe.id env.pe; gen = Fs_cache.generation c; reason })
 
 (* Applies one decoded notification to the owning mount's cache. On a
@@ -200,7 +200,8 @@ let apply_notification (env : Env.t) m ~kind ~seq ~ino ~size ~path =
       let name =
         match kind with 0 -> "ino" | 1 -> "path" | _ -> "both"
       in
-      emit env (Event.Fs_cache_inval { pe = Pe.id env.pe; kind = name }))
+      if tracing env then
+        emit env (Event.Fs_cache_inval { pe = Pe.id env.pe; kind = name }))
 
 (* Drains pending invalidations for every caching mount of this VPE.
    Called at the top of each file operation; fetch and ack are DTU
@@ -783,7 +784,7 @@ let simple_meta env mount op path =
       | Ok r -> Ok r)
 
 let local_inval (env : Env.t) mount kind =
-  if mount.m_cache <> None then
+  if mount.m_cache <> None && tracing env then
     emit env (Event.Fs_cache_inval { pe = Pe.id env.pe; kind })
 
 let mkdir env mount path =

@@ -51,10 +51,13 @@ let send ?(block = true) (env : Env.t) g payload ?reply () =
   | Ok ep -> (
     Env.charge_marshal env (Bytes.length payload);
     Env.charge env Account.Os Cost_model.syscall_program_dtu;
-    let reply = Option.map (fun (rg, label) -> (rg.rg_ep, label)) reply in
-    match Dtu.send ~block env.dtu ~ep ~payload ?reply () with
-    | Error e -> Error (dtu_err e)
-    | Ok () -> Ok ())
+    let sent =
+      match reply with
+      | None -> Dtu.send ~block env.dtu ~ep ~payload ()
+      | Some (rg, label) ->
+        Dtu.send ~block env.dtu ~ep ~payload ~reply:(rg.rg_ep, label) ()
+    in
+    match sent with Error e -> Error (dtu_err e) | Ok () -> Ok ())
 
 let recv (env : Env.t) g =
   let msg = Dtu.wait_msg env.dtu ~ep:g.rg_ep in
@@ -70,16 +73,15 @@ let recv_for (env : Env.t) g ~timeout =
     Env.charge_marshal env (Bytes.length msg.payload);
     Some msg
 
+let rec index_of g i = function
+  | [] -> assert false
+  | g' :: rest -> if g' == g then i else index_of g (i + 1) rest
+
 let recv_any (env : Env.t) gates =
-  let eps = List.map (fun g -> g.rg_ep) gates in
-  let ep, msg = Dtu.wait_any env.dtu ~eps in
+  let g, msg = Dtu.wait_any env.dtu ~ep_of:(fun g -> g.rg_ep) gates in
   Env.charge env Account.Os Cost_model.wakeup;
   Env.charge_marshal env (Bytes.length msg.payload);
-  let rec index i = function
-    | [] -> assert false
-    | g :: rest -> if g.rg_ep = ep then i else index (i + 1) rest
-  in
-  (index 0 gates, msg)
+  (index_of g 0 gates, msg)
 
 let fetch (env : Env.t) g = Dtu.fetch env.dtu ~ep:g.rg_ep
 let backlog (env : Env.t) g = Dtu.buffered env.dtu ~ep:g.rg_ep

@@ -1259,7 +1259,8 @@ let service_request t (srv : srv_obj) ~payload =
             ~eps:[ kep_reply; kep_syscall ]
             ~timeout:remaining
       end
-      else Some (Dtu.wait_any (kdtu t) ~eps:[ kep_reply; kep_syscall ])
+      else
+        Some (Dtu.wait_any (kdtu t) ~ep_of:Fun.id [ kep_reply; kep_syscall ])
     in
     match hit with
     | None -> None

@@ -371,43 +371,54 @@ let retryable = function
 let suspend_max_retries = 100
 let suspend_backoff ~attempt = min (64 lsl min attempt 7) 8192
 
-(* [transmit] sends one attempt; [handle_failure] runs at the sending
-   DTU when the attempt's NACK arrives and either schedules a
+(* [transmit] sends one attempt: one closure, over [arrive], per
+   attempt. [nack] and [handle_failure] run only for a rejected attempt:
+   the NACK travels back to the sending DTU, which either schedules a
    retransmit (bounded, exponential backoff — only with a fault plan
-   attached) or gives up and refunds the credit. *)
+   attached) or gives up and refunds the credit. The fault hook is
+   built only while a plan is attached. *)
 let rec transmit t ~dst_pe ~dst_ep ~(header : Header.t) ~payload ~msg ~attempt =
   let wire = Header.size + Bytes.length payload in
   if attempt = 0 then t.msgs_sent <- t.msgs_sent + 1
   else t.retransmits <- t.retransmits + 1;
-  let nack reason =
-    (* The rejecting side signals the sender with a small control
-       packet; control traffic is modelled as reliable. *)
-    Fabric.transfer t.fabric ~src:dst_pe ~dst:t.pe ~bytes:request_bytes
-      ~on_deliver:(fun () ->
-        handle_failure t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt reason)
+  let on_fault =
+    if not (M3_fault.Plan.enabled (faults t)) then None
+    else
+      Some
+        (function
+        | Fabric.Lost reason ->
+          nack t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt reason
+        | Fabric.Corrupted ->
+          (* Damage a copy; the receiving DTU's checksum check turns the
+             corruption into a NACK. *)
+          let damaged = Bytes.copy payload in
+          M3_fault.Plan.corrupt_bytes (faults t) damaged;
+          arrive t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt damaged)
   in
-  let deliver payload =
-    match t.dtu_of dst_pe with
-    | Some dst when not dst.failed -> (
-      match deliver_message dst ~dst_ep ~header ~payload ~msg with
-      | Accepted -> ()
-      | Rejected reason -> nack reason)
-    | Some _ | None ->
-      (* A crashed DTU is indistinguishable from a missing one. *)
-      t.msgs_dropped <- t.msgs_dropped + 1;
-      nack "no dtu"
-  in
-  Fabric.transfer ~msg t.fabric ~src:t.pe ~dst:dst_pe ~bytes:wire
-    ~on_fault:(fun fault ->
-      match fault with
-      | Fabric.Lost reason -> nack reason
-      | Fabric.Corrupted ->
-        (* Damage a copy; the receiving DTU's checksum check turns the
-           corruption into a NACK. *)
-        let damaged = Bytes.copy payload in
-        M3_fault.Plan.corrupt_bytes (faults t) damaged;
-        deliver damaged)
-    ~on_deliver:(fun () -> deliver payload)
+  Fabric.transfer ~msg ?on_fault t.fabric ~src:t.pe ~dst:dst_pe ~bytes:wire
+    ~on_deliver:(fun () ->
+      arrive t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt payload)
+
+(* [arrive ... delivered] hands the bytes that reached [dst_pe] to its
+   DTU; a retransmit still sends the intact [payload]. *)
+and arrive t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt delivered =
+  match t.dtu_of dst_pe with
+  | Some dst when not dst.failed -> (
+    match deliver_message dst ~dst_ep ~header ~payload:delivered ~msg with
+    | Accepted -> ()
+    | Rejected reason ->
+      nack t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt reason)
+  | Some _ | None ->
+    (* A crashed DTU is indistinguishable from a missing one. *)
+    t.msgs_dropped <- t.msgs_dropped + 1;
+    nack t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt "no dtu"
+
+(* The rejecting side signals the sender with a small control packet;
+   control traffic is modelled as reliable. *)
+and nack t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt reason =
+  Fabric.transfer t.fabric ~src:dst_pe ~dst:t.pe ~bytes:request_bytes
+    ~on_deliver:(fun () ->
+      handle_failure t ~dst_pe ~dst_ep ~header ~payload ~msg ~attempt reason)
 
 and handle_failure t ~dst_pe ~dst_ep ~(header : Header.t) ~payload ~msg ~attempt
     reason =
@@ -586,16 +597,20 @@ let reply t ~ep ~slot ~payload =
   check_ep t ep;
   match t.eps.(ep) with
   | S_recv r when slot >= 0 && slot < r.r_slot_count && r.r_occupied.(slot) ->
-    let header = Header.read t.spm ~addr:(slot_addr r slot) in
-    if not header.has_reply then Error Dtu_error.No_reply_cap
+    let addr = slot_addr r slot in
+    if not (Header.read_has_reply t.spm ~addr) then Error Dtu_error.No_reply_cap
     else begin
+      let dst_pe = Header.read_sender_pe t.spm ~addr
+      and dst_ep = Header.read_reply_ep t.spm ~addr
+      and crd_ep = Header.read_crd_ep t.spm ~addr
+      and label = Header.read_reply_label t.spm ~addr in
       accept_command t;
       let reply_header =
         {
           Header.length = Bytes.length payload;
-          label = header.reply_label;
+          label;
           sender_pe = t.pe;
-          crd_ep = header.crd_ep;
+          crd_ep;
           reply_ep = 0;
           reply_label = 0L;
           has_reply = false;
@@ -617,39 +632,38 @@ let reply t ~ep ~slot ~payload =
              {
                pe = t.pe;
                ep;
-               dst_pe = header.sender_pe;
-               dst_ep = header.reply_ep;
+               dst_pe;
+               dst_ep;
                bytes = Bytes.length payload;
                msg;
                reply = true;
              });
-      transmit t ~dst_pe:header.sender_pe ~dst_ep:header.reply_ep
-        ~header:reply_header ~payload:(Bytes.copy payload) ~msg ~attempt:0;
+      transmit t ~dst_pe ~dst_ep ~header:reply_header
+        ~payload:(Bytes.copy payload) ~msg ~attempt:0;
       Ok ()
     end
   | S_recv _ -> Error Dtu_error.Invalid_ep
   | S_invalid | S_send _ | S_mem _ | S_park _ -> Error Dtu_error.Invalid_ep
 
+let rec scan t r ~tried pos =
+  if tried = r.r_slot_count then None
+  else if r.r_unread.(pos) then begin
+    r.r_unread.(pos) <- false;
+    r.r_rpos <- (pos + 1) mod r.r_slot_count;
+    let header = Header.read t.spm ~addr:(slot_addr r pos) in
+    let payload =
+      Store.read_bytes t.spm
+        ~addr:(slot_addr r pos + Header.size)
+        ~len:header.length
+    in
+    Some { Endpoint.slot = pos; header; payload }
+  end
+  else scan t r ~tried:(tried + 1) ((pos + 1) mod r.r_slot_count)
+
 let fetch t ~ep =
   check_ep t ep;
   match t.eps.(ep) with
-  | S_recv r ->
-    let rec scan tried pos =
-      if tried = r.r_slot_count then None
-      else if r.r_unread.(pos) then begin
-        r.r_unread.(pos) <- false;
-        r.r_rpos <- (pos + 1) mod r.r_slot_count;
-        let header = Header.read t.spm ~addr:(slot_addr r pos) in
-        let payload =
-          Store.read_bytes t.spm
-            ~addr:(slot_addr r pos + Header.size)
-            ~len:header.length
-        in
-        Some { Endpoint.slot = pos; header; payload }
-      end
-      else scan (tried + 1) ((pos + 1) mod r.r_slot_count)
-    in
-    scan 0 r.r_rpos
+  | S_recv r -> scan t r ~tried:0 r.r_rpos
   | S_invalid | S_send _ | S_mem _ | S_park _ -> None
 
 let buffered t ~ep =
@@ -689,25 +703,43 @@ let wait_reconfig t ~ep =
   check_ep t ep;
   Process.Waitq.park t.ep_waiters.(ep)
 
-let rec wait_any t ~eps =
-  let t =
-    if List.for_all suspendable_ep eps then quiesce_point t else t
-  in
-  let rec poll = function
-    | [] -> None
-    | ep :: rest -> (
-      match fetch t ~ep with
-      | Some msg -> Some (ep, msg)
-      | None -> poll rest)
-  in
-  match poll eps with
+(* Helpers over a watched list whose elements name their EP through
+   [ep_of] (receive gates for Gate.recv_any, bare EPs for the kernel). *)
+let rec all_suspendable ~ep_of = function
+  | [] -> true
+  | x :: rest -> suspendable_ep (ep_of x) && all_suspendable ~ep_of rest
+
+let rec poll t ~ep_of = function
+  | [] -> None
+  | x :: rest -> (
+    match fetch t ~ep:(ep_of x) with
+    | Some msg -> Some (x, msg)
+    | None -> poll t ~ep_of rest)
+
+(* Bit [i] is set when the [i]-th watched EP is a receive EP. *)
+let rec recv_mask t ~ep_of i = function
+  | [] -> 0
+  | x :: rest ->
+    if i >= Sys.int_size then invalid_arg "Dtu.wait_any: too many endpoints";
+    (if is_recv t (ep_of x) then 1 lsl i else 0) lor recv_mask t ~ep_of (i + 1) rest
+
+let rec check_revoked_mask t ~ep_of mask = function
+  | [] -> ()
+  | x :: rest ->
+    check_revoked t ~ep:(ep_of x) ~was_recv:(mask land 1 <> 0);
+    check_revoked_mask t ~ep_of (mask lsr 1) rest
+
+let rec wait_any t ~ep_of xs =
+  let suspendable = all_suspendable ~ep_of xs in
+  let t = if suspendable then quiesce_point t else t in
+  match poll t ~ep_of xs with
   | Some hit ->
     t.idle_since <- None;
     hit
   | None ->
-    if List.for_all suspendable_ep eps && t.idle_since = None then
+    if suspendable && t.idle_since = None then
       t.idle_since <- Some (Engine.now t.engine);
-    let was_recv = List.map (fun ep -> (ep, is_recv t ep)) eps in
+    let was_recv = recv_mask t ~ep_of 0 xs in
     Process.suspend (fun resume ->
         (* One registration per queue, all cancelled on the first
            wakeup so no stale entry outlives the wait (they used to
@@ -718,64 +750,20 @@ let rec wait_any t ~eps =
           resume v
         in
         entries :=
-          List.map (fun ep -> Process.Waitq.register t.ep_waiters.(ep) fire) eps);
-    List.iter (fun (ep, was_recv) -> check_revoked t ~ep ~was_recv) was_recv;
-    wait_any t ~eps
-
-let wait_msg_for t ~ep ~timeout =
-  check_ep t ep;
-  if timeout <= 0 then invalid_arg "Dtu.wait_msg_for: timeout must be positive";
-  let deadline = Engine.now t.engine + timeout in
-  let rec loop () =
-    let t = if suspendable_ep ep then quiesce_point t else t in
-    match fetch t ~ep with
-    | Some msg ->
-      t.idle_since <- None;
-      Some msg
-    | None ->
-      let remaining = deadline - Engine.now t.engine in
-      if remaining <= 0 then None
-      else begin
-        if suspendable_ep ep && t.idle_since = None then
-          t.idle_since <- Some (Engine.now t.engine);
-        let was_recv = is_recv t ep in
-        let woke =
-          Process.suspend (fun resume ->
-              let entry =
-                Process.Waitq.register t.ep_waiters.(ep) (fun () ->
-                    resume `Signal)
-              in
-              Engine.schedule t.engine ~delay:remaining (fun () ->
-                  (* The entry must die with the timeout, or a later
-                     signal would be absorbed by a waiter that already
-                     gave up. *)
-                  Process.Waitq.cancel entry;
-                  resume `Timeout))
-        in
-        check_revoked t ~ep ~was_recv;
-        match woke with
-        | `Signal -> loop ()
-        | `Timeout -> fetch t ~ep
-      end
-  in
-  loop ()
+          List.map
+            (fun x -> Process.Waitq.register t.ep_waiters.(ep_of x) fire)
+            xs);
+    check_revoked_mask t ~ep_of was_recv xs;
+    wait_any t ~ep_of xs
 
 let wait_any_for t ~eps ~timeout =
   List.iter (fun ep -> check_ep t ep) eps;
   if timeout <= 0 then invalid_arg "Dtu.wait_any_for: timeout must be positive";
   let deadline = Engine.now t.engine + timeout in
-  let rec poll = function
-    | [] -> None
-    | ep :: rest -> (
-      match fetch t ~ep with
-      | Some msg -> Some (ep, msg)
-      | None -> poll rest)
-  in
+  let suspendable = all_suspendable ~ep_of:Fun.id eps in
   let rec loop () =
-    let t =
-      if List.for_all suspendable_ep eps then quiesce_point t else t
-    in
-    match poll eps with
+    let t = if suspendable then quiesce_point t else t in
+    match poll t ~ep_of:Fun.id eps with
     | Some hit ->
       t.idle_since <- None;
       Some hit
@@ -783,9 +771,9 @@ let wait_any_for t ~eps ~timeout =
       let remaining = deadline - Engine.now t.engine in
       if remaining <= 0 then None
       else begin
-        if List.for_all suspendable_ep eps && t.idle_since = None then
+        if suspendable && t.idle_since = None then
           t.idle_since <- Some (Engine.now t.engine);
-        let was_recv = List.map (fun ep -> (ep, is_recv t ep)) eps in
+        let was_recv = recv_mask t ~ep_of:Fun.id 0 eps in
         let woke =
           Process.suspend (fun resume ->
               let entries = ref [] in
@@ -802,13 +790,16 @@ let wait_any_for t ~eps ~timeout =
               Engine.schedule t.engine ~delay:remaining (fun () ->
                   fire `Timeout))
         in
-        List.iter (fun (ep, was_recv) -> check_revoked t ~ep ~was_recv) was_recv;
+        check_revoked_mask t ~ep_of:Fun.id was_recv eps;
         match woke with
         | `Signal -> loop ()
-        | `Timeout -> poll eps
+        | `Timeout -> poll t ~ep_of:Fun.id eps
       end
   in
   loop ()
+
+let wait_msg_for t ~ep ~timeout =
+  Option.map snd (wait_any_for t ~eps:[ ep ] ~timeout)
 
 let ack t ~ep ~slot =
   check_ep t ep;

@@ -97,13 +97,14 @@ val wait_msg : t -> ep:int -> Endpoint.message
     @raise Dtu_error.Error [Invalid_ep] as {!wait_msg}. *)
 val wait_msg_for : t -> ep:int -> timeout:int -> Endpoint.message option
 
-(** [wait_any t ~eps] blocks until any of the receive endpoints in
-    [eps] holds a message and returns [(ep, message)] — how a service
-    waits on its kernel channel and its client channel at once. All
-    queue registrations are released on wake-up.
+(** [wait_any t ~ep_of xs] blocks until the receive endpoint [ep_of x]
+    of any [x] in [xs] holds a message and returns [(x, message)], for
+    the first such [x] in list order — how a service waits on its kernel
+    channel and its client channel at once. All queue registrations are
+    released on wake-up.
     @raise Dtu_error.Error [Invalid_ep] as {!wait_msg}, for any watched
     endpoint. *)
-val wait_any : t -> eps:int list -> int * Endpoint.message
+val wait_any : t -> ep_of:('a -> int) -> 'a list -> 'a * Endpoint.message
 
 (** [wait_any_for t ~eps ~timeout] is {!wait_any} with a deadline:
     [None] if no watched endpoint receives a message within

@@ -43,17 +43,24 @@ let write store ~addr h =
   Store.write_u32 store ~addr:(addr + 24) h.sender_pe;
   Store.write_u32 store ~addr:(addr + 28) h.checksum
 
+(* Single-field reads, for a reply that needs only the reply target. *)
+let read_has_reply store ~addr =
+  Store.read_u8 store ~addr:(addr + 4) land flag_has_reply <> 0
+
+let read_crd_ep store ~addr = Store.read_u8 store ~addr:(addr + 5)
+let read_reply_ep store ~addr = Store.read_u8 store ~addr:(addr + 6)
+let read_reply_label store ~addr = Store.read_i64 store ~addr:(addr + 16)
+let read_sender_pe store ~addr = Store.read_u32 store ~addr:(addr + 24)
+
 let read store ~addr =
-  let length = Store.read_u32 store ~addr in
-  let flags = Store.read_u8 store ~addr:(addr + 4) in
   {
-    length;
-    crd_ep = Store.read_u8 store ~addr:(addr + 5);
-    reply_ep = Store.read_u8 store ~addr:(addr + 6);
+    length = Store.read_u32 store ~addr;
+    crd_ep = read_crd_ep store ~addr;
+    reply_ep = read_reply_ep store ~addr;
     label = Store.read_i64 store ~addr:(addr + 8);
-    reply_label = Store.read_i64 store ~addr:(addr + 16);
-    sender_pe = Store.read_u32 store ~addr:(addr + 24);
-    has_reply = flags land flag_has_reply <> 0;
-    is_reply = flags land flag_is_reply <> 0;
+    reply_label = read_reply_label store ~addr;
+    sender_pe = read_sender_pe store ~addr;
+    has_reply = read_has_reply store ~addr;
+    is_reply = Store.read_u8 store ~addr:(addr + 4) land flag_is_reply <> 0;
     checksum = Store.read_u32 store ~addr:(addr + 28);
   }

@@ -32,3 +32,11 @@ val write : M3_mem.Store.t -> addr:int -> t -> unit
 
 (** [read store ~addr] deserializes a header. *)
 val read : M3_mem.Store.t -> addr:int -> t
+
+(** Single fields of a stored header, read without building a {!t}. *)
+
+val read_has_reply : M3_mem.Store.t -> addr:int -> bool
+val read_crd_ep : M3_mem.Store.t -> addr:int -> int
+val read_reply_ep : M3_mem.Store.t -> addr:int -> int
+val read_reply_label : M3_mem.Store.t -> addr:int -> int64
+val read_sender_pe : M3_mem.Store.t -> addr:int -> int

@@ -349,7 +349,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
   let plan_enabled = M3_fault.Plan.enabled (M3_noc.Fabric.faults cenv.fabric) in
   let obs = M3_noc.Fabric.obs cenv.fabric in
   let my_pe = M3_hw.Pe.id cenv.pe in
-  let emit ev = if Obs.enabled obs then Obs.emit obs ev in
+  let emit ev = Obs.emit obs ev in
   let now () = Engine.now cenv.engine in
   let req = ok (Gate.create_recv cenv ~slot_order:req_order ~slot_count:req_slots) in
   let wreply =
@@ -474,7 +474,8 @@ let dispatcher_body cfg stats (cenv : Env.t) =
       in
       if throttled then begin
         stats.p_throttled <- stats.p_throttled + 1;
-        emit (Event.Gw_throttle { pe = my_pe; pool = cfg.name; client; seq = rq.seq });
+        if Obs.enabled obs then
+          emit (Event.Gw_throttle { pe = my_pe; pool = cfg.name; client; seq = rq.seq });
         ignore
           (Gate.reply cenv req ~slot:msg.slot
              (Wire.encode_admit ~err:Errno.E_throttled ~seq:rq.seq))
@@ -489,7 +490,8 @@ let dispatcher_body cfg stats (cenv : Env.t) =
         let depth = Dq.length pending + !inflight + Gate.backlog cenv req in
         if depth >= cfg.queue_limit then begin
           stats.p_rejected <- stats.p_rejected + 1;
-          emit (Event.Serve_reject { pe = my_pe; pool = cfg.name; seq = rq.seq; depth });
+          if Obs.enabled obs then
+            emit (Event.Serve_reject { pe = my_pe; pool = cfg.name; seq = rq.seq; depth });
           ignore
             (Gate.reply cenv req ~slot:msg.slot
                (Wire.encode_admit ~err:Errno.E_overload ~seq:rq.seq))
@@ -497,7 +499,8 @@ let dispatcher_body cfg stats (cenv : Env.t) =
         else begin
           stats.p_admitted <- stats.p_admitted + 1;
           if depth > stats.p_max_depth then stats.p_max_depth <- depth;
-          emit (Event.Serve_admit { pe = my_pe; pool = cfg.name; seq = rq.seq; depth });
+          if Obs.enabled obs then
+            emit (Event.Serve_admit { pe = my_pe; pool = cfg.name; seq = rq.seq; depth });
           Dq.push pending (rq, now ());
           ignore
             (Gate.reply cenv req ~slot:msg.slot
@@ -511,7 +514,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
     | Some at ->
       let lat = now () - at in
       Stats.add stats.p_disp_latency (float_of_int lat);
-      emit
+      if Obs.enabled obs then emit
         (Event.Serve_done
            { pe = my_pe; pool = cfg.name; seq = d.d_seq; cycles = lat })
     | None -> ());
@@ -523,7 +526,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
   in
   let breaker_trip w =
     stats.p_trips <- stats.p_trips + 1;
-    emit
+    if Obs.enabled obs then emit
       (Event.Gw_break
          { pe = my_pe; pool = cfg.name; worker = w.w_idx; phase = "trip" })
   in
@@ -539,7 +542,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
       then begin
         if Gateway.on_success k then begin
           stats.p_closes <- stats.p_closes + 1;
-          emit
+          if Obs.enabled obs then emit
             (Event.Gw_break
                { pe = my_pe; pool = cfg.name; worker = w.w_idx; phase = "close" })
         end
@@ -613,7 +616,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
         w.w_idle_since <- now ();
         stats.p_restarts <- stats.p_restarts + 1;
         stats.p_restart_cycle <- now ();
-        emit
+        if Obs.enabled obs then emit
           (Event.Serve_restart
              { pe = vpe.Vpe_api.pe_id; pool = cfg.name; worker = w.w_idx;
                attempt = w.w_restarts })
@@ -669,7 +672,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
             | Gateway.Allow -> Some (w, false)
             | Gateway.Probe ->
               stats.p_probes <- stats.p_probes + 1;
-              emit
+              if Obs.enabled obs then emit
                 (Event.Gw_break
                    { pe = my_pe; pool = cfg.name; worker = i; phase = "probe" });
               Some (w, true)
@@ -707,7 +710,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
             w.w_idle_since <- now ();
             stats.p_scale_ups <- stats.p_scale_ups + 1;
             last_scale := now ();
-            emit
+            if Obs.enabled obs then emit
               (Event.Pool_scale
                  { pe = my_pe; pool = cfg.name; dir = 1; active = active + 1 });
             progress := true
@@ -734,7 +737,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
             w.w_state <- W_parked;
             stats.p_scale_downs <- stats.p_scale_downs + 1;
             last_scale := now ();
-            emit
+            if Obs.enabled obs then emit
               (Event.Pool_scale
                  { pe = my_pe; pool = cfg.name; dir = -1; active = active - 1 })
           | Error _ -> () (* raced a placement change; retry next window *))
@@ -784,7 +787,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
                inflight := !inflight + List.length batch;
                stats.p_batches <- stats.p_batches + 1;
                stats.p_batched <- stats.p_batched + List.length batch;
-               emit
+               if Obs.enabled obs then emit
                  (Event.Serve_batch
                     { pe = my_pe; pool = cfg.name; worker = w.w_idx;
                       size = List.length batch })
@@ -860,7 +863,7 @@ let dispatcher_body cfg stats (cenv : Env.t) =
           let cycles = now () - started in
           stats.p_upgrades <- stats.p_upgrades + 1;
           Stats.add stats.p_upgrade_cycles (float_of_int cycles);
-          emit
+          if Obs.enabled obs then emit
             (Event.Gw_upgrade
                { pe = my_pe; pool = cfg.name;
                  target = Printf.sprintf "worker%d" widx; cycles });

@@ -7,19 +7,26 @@ type status =
   | Finished
   | Failed of exn
 
+(* Every wait, park and suspend takes one path that allocates no closure
+   or effect value of its own: the caller arranges its wakeup first (a
+   wait schedules [resume]; a park leaves a queue entry, a suspend a
+   resume function), then [block]s on the prebuilt [Park] effect, whose
+   handler only stores the continuation in [parked]. [resume] clears the
+   slot before continuing, so the record never pins a spent one. *)
 type t = {
   name : string;
   engine : Engine.t;
   mutable state : status;
   mutable kill_requested : bool;
   as_current : t option;  (* [Some self], built once for [with_current] *)
+  park_eff : unit Effect.t;
+  mutable parked : (unit, unit) Effect.Deep.continuation option;
+  resume : unit -> unit;  (* the resume event, built once *)
 }
 
 exception Killed
 
-type _ Effect.t +=
-  | Wait : t * int -> unit Effect.t
-  | Suspend : t * (('a -> unit) -> unit) -> 'a Effect.t
+type _ Effect.t += Park : t -> unit Effect.t
 
 (* The process currently executing, so that [wait]/[suspend] need no
    explicit handle. Domain-local: a process runs to its next effect
@@ -49,9 +56,12 @@ let step p k v =
   if p.kill_requested then Effect.Deep.discontinue k Killed
   else Effect.Deep.continue k v
 
-(* Top level, so that a parked process costs one scheduled closure
-   (over [p], [k] and [v]) rather than two nested ones. *)
-let resume p k v = with_current p step k v
+let resume p =
+  match p.parked with
+  | Some k ->
+    p.parked <- None;
+    with_current p step k ()
+  | None -> ()
 
 let self () =
   match !(Domain.DLS.get current) with
@@ -63,8 +73,10 @@ let check_killed p = if p.kill_requested then raise Killed
 let spawn engine ~name f =
   let rec p =
     { name; engine; state = Running; kill_requested = false;
-      as_current = Some p }
+      as_current = Some p; park_eff = Park p; parked = None;
+      resume = (fun () -> resume p) }
   in
+  let on_park = Some (fun k -> p.parked <- Some k) in
   let finish () = if p.state = Running then p.state <- Finished in
   let fail e =
     Log.debug (fun m -> m "process %s failed: %s" name (Printexc.to_string e));
@@ -80,23 +92,10 @@ let spawn engine ~name f =
           | Killed -> finish ()
           | e -> fail e);
       effc =
-        (fun (type a) (eff : a Effect.t) ->
+        (fun (type a) (eff : a Effect.t) :
+             ((a, unit) continuation -> unit) option ->
           match eff with
-          | Wait (q, n) when q == p ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                Engine.schedule engine ~delay:n (fun () -> resume p k ()))
-          | Suspend (q, register) when q == p ->
-            Some
-              (fun (k : (a, unit) continuation) ->
-                let resumed = ref false in
-                let wake v =
-                  if not !resumed then begin
-                    resumed := true;
-                    Engine.schedule engine ~delay:0 (fun () -> resume p k v)
-                  end
-                in
-                register wake)
+          | Park q when q == p -> on_park
           | _ -> None);
     }
   in
@@ -116,16 +115,28 @@ let status p = p.state
 
 let kill p = if p.state = Running then p.kill_requested <- true
 
+let block p = Effect.perform p.park_eff
+
 let wait n =
   if n < 0 then invalid_arg "Process.wait: negative duration";
   let p = self () in
   check_killed p;
-  Effect.perform (Wait (p, n))
+  Engine.schedule p.engine ~delay:n p.resume;
+  block p
 
+(* [register]'s resume only schedules the resume event, so it may fire
+   before the process blocks. The value cell is the one-shot guard. *)
 let suspend register =
   let p = self () in
   check_killed p;
-  Effect.perform (Suspend (p, register))
+  let woken = ref None in
+  register (fun v ->
+      if Option.is_none !woken then begin
+        woken := Some v;
+        Engine.schedule p.engine ~delay:0 p.resume
+      end);
+  block p;
+  Option.get !woken
 
 module Ivar = struct
   type 'a state_ =
@@ -158,59 +169,70 @@ module Ivar = struct
 end
 
 module Waitq = struct
-  (* Entries carry a liveness flag so that waiting on several queues at
-     once (Dtu.wait_any) can cancel the losers after one queue fires:
-     a consumed or cancelled entry must neither count as a waiter nor
-     absorb a signal (which would silently lose the wakeup). *)
+  (* An entry is a parked process ([e_proc], woken through its prebuilt
+     resume event with the value left in [e_value]) or a resume function
+     from [suspend] ([e_resume]), which lets Dtu.wait_any wait on several
+     queues at once and cancel the losers after one fires. [e_live] is
+     the one-shot guard: a woken or cancelled entry neither counts as a
+     waiter nor absorbs a wakeup (which would silently lose it). *)
   type 'a entry = {
-    e_resume : 'a -> unit;
     mutable e_live : bool;
+    e_proc : t option;
+    e_resume : 'a -> unit;
+    mutable e_value : 'a option;
   }
 
-  type 'a waitq = { mutable parked : 'a entry list (* newest first *) }
+  type 'a waitq = { mutable entries : 'a entry list (* newest first *) }
 
-  let create () = { parked = [] }
+  let create () = { entries = [] }
 
-  let sweep q =
-    match q.parked with
+  let add q e =
+    (match q.entries with
     | [] -> ()
-    | _ -> q.parked <- List.filter (fun e -> e.e_live) q.parked
+    | _ -> q.entries <- List.filter (fun e -> e.e_live) q.entries);
+    q.entries <- e :: q.entries
 
   let register q resume =
-    sweep q;
-    let e = { e_resume = resume; e_live = true } in
-    q.parked <- e :: q.parked;
+    let e = { e_live = true; e_proc = None; e_resume = resume; e_value = None } in
+    add q e;
     e
 
   let cancel e = e.e_live <- false
 
-  let park q = suspend (fun resume -> ignore (register q resume))
-
-  let signal q v =
-    let rec oldest_live = function
-      | [] -> None
-      | e :: rest -> if e.e_live then Some (e, rest) else oldest_live rest
+  let park q =
+    let p = self () in
+    check_killed p;
+    let e =
+      { e_live = true; e_proc = p.as_current; e_resume = ignore; e_value = None }
     in
-    match oldest_live (List.rev q.parked) with
-    | None ->
-      q.parked <- [];
-      false
-    | Some (e, rest_oldest_first) ->
-      q.parked <- List.rev rest_oldest_first;
+    add q e;
+    block p;
+    Option.get e.e_value
+
+  let wake v e =
+    if e.e_live then begin
       e.e_live <- false;
-      e.e_resume v;
-      true
+      match e.e_proc with
+      | Some p ->
+        e.e_value <- Some v;
+        Engine.schedule p.engine ~delay:0 p.resume
+      | None -> e.e_resume v
+    end
+
+  (* Oldest first, straight from the newest-first list. *)
+  let rec wake_all v = function
+    | [] -> ()
+    | e :: older ->
+      wake_all v older;
+      wake v e
 
   let broadcast q v =
-    let all = List.rev q.parked in
-    q.parked <- [];
-    List.iter
-      (fun e ->
-        if e.e_live then begin
-          e.e_live <- false;
-          e.e_resume v
-        end)
-      all
+    match q.entries with
+    | [] -> ()
+    | entries ->
+      q.entries <- [];
+      wake_all v entries
 
-  let waiters q = List.fold_left (fun n e -> if e.e_live then n + 1 else n) 0 q.parked
+  let waiters q =
+    List.fold_left (fun n e -> if e.e_live then n + 1 else n) 0 q.entries
 end

@@ -38,9 +38,10 @@ val kill : t -> unit
 val wait : int -> unit
 
 (** [suspend register] parks the calling process. [register] receives a
-    one-shot [resume] function; calling [resume v] (from any other
-    process or event) schedules the parked process to continue with
-    value [v] at the cycle of the [resume] call. *)
+    one-shot [resume] function, just before the process parks; calling
+    [resume v] (at once, or later from any other process or event)
+    schedules the parked process to continue with value [v] at the cycle
+    of the [resume] call. *)
 val suspend : (('a -> unit) -> unit) -> 'a
 
 (** Write-once synchronization cell. *)
@@ -62,7 +63,7 @@ module Ivar : sig
   val read : 'a ivar -> 'a
 end
 
-(** Queue of parked processes, woken one by one or all at once. *)
+(** Queue of parked processes, woken all at once. *)
 module Waitq : sig
   type 'a waitq
 
@@ -82,15 +83,11 @@ module Waitq : sig
   val register : 'a waitq -> ('a -> unit) -> 'a entry
 
   (** [cancel e] marks [e] dead: it no longer counts in {!waiters} and
-      is skipped by {!signal}/{!broadcast}. Idempotent. *)
+      is skipped by {!broadcast}. Idempotent. *)
   val cancel : 'a entry -> unit
 
-  (** [signal q v] wakes the oldest live parked process with [v];
-      returns [false] when no live process was parked (cancelled or
-      already-consumed entries are swept, never "woken"). *)
-  val signal : 'a waitq -> 'a -> bool
-
-  (** [broadcast q v] wakes every live parked process with [v]. *)
+  (** [broadcast q v] wakes every live parked process with [v], oldest
+      first, and empties [q]. *)
   val broadcast : 'a waitq -> 'a -> unit
 
   (** [waiters q] is the number of live parked processes. *)

@@ -117,6 +117,43 @@ let test_reply_roundtrip_and_credits () =
     | Some (Endpoint.Credits n) -> n
     | _ -> -1)
 
+(* Allocation ceiling of the message path: a send with a reply grant,
+   its fetch at the receiver, the reply and its fetch at the sender.
+   Fetches build the message (header record, payload copy); sends copy
+   the payload and build one delivery closure per attempt; waits reuse
+   their process's prebuilt resume event. A round trip measured 143
+   words when this ceiling was set; it leaves 1.5x headroom. *)
+let roundtrip_rounds = 1_000
+
+let test_alloc_send_fetch_reply () =
+  let engine, platform = make_platform () in
+  let receiver, sender = setup_channel platform in
+  ok
+    (Dtu.config_local (Pe.dtu sender) ~ep:3
+       (Endpoint.Receive { buf_addr = 0x800; slot_order = 8; slot_count = 2 }));
+  let ping = Bytes.of_string "ping" and pong = Bytes.of_string "pong" in
+  ignore
+    (Pe.spawn receiver ~name:"r" (fun () ->
+         for _ = 1 to roundtrip_rounds do
+           let msg = Dtu.wait_msg (Pe.dtu receiver) ~ep:1 in
+           ok (Dtu.reply (Pe.dtu receiver) ~ep:1 ~slot:msg.slot ~payload:pong)
+         done));
+  ignore
+    (Pe.spawn sender ~name:"s" (fun () ->
+         for _ = 1 to roundtrip_rounds do
+           ok (Dtu.send (Pe.dtu sender) ~ep:2 ~payload:ping ~reply:(3, 0L) ());
+           let reply = Dtu.wait_msg (Pe.dtu sender) ~ep:3 in
+           Dtu.ack (Pe.dtu sender) ~ep:3 ~slot:reply.slot
+         done));
+  let before = Gc.minor_words () in
+  ignore (Engine.run engine);
+  let words = (Gc.minor_words () -. before) /. float_of_int roundtrip_rounds in
+  let ceiling = 215.0 in
+  check_bool
+    (Printf.sprintf "send + fetch + reply: %.1f minor words/round trip <= %.0f"
+       words ceiling)
+    true (words <= ceiling)
+
 let test_credits_block_sending () =
   let engine, platform = make_platform () in
   let _receiver, sender = setup_channel ~credits:(Endpoint.Credits 2) platform in
@@ -458,6 +495,7 @@ let suites =
         tc "send/receive roundtrip" test_send_receive_roundtrip;
         tc "message lands in SPM ringbuffer" test_message_lands_in_spm_ringbuffer;
         tc "reply roundtrip refills credits" test_reply_roundtrip_and_credits;
+        tc "send + fetch + reply allocation ceiling" test_alloc_send_fetch_reply;
         tc "credits block sending" test_credits_block_sending;
         tc "unlimited credits" test_unlimited_credits;
         tc "ringbuffer overflow drops" test_ringbuffer_overflow_drops;

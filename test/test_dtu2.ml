@@ -90,7 +90,7 @@ let test_wait_any_two_sources () =
   ignore
     (Pe.spawn hub ~name:"hub" (fun () ->
          for _ = 1 to 2 do
-           let ep, msg = Dtu.wait_any (Pe.dtu hub) ~eps:[ 1; 2 ] in
+           let ep, msg = Dtu.wait_any (Pe.dtu hub) ~ep_of:Fun.id [ 1; 2 ] in
            arrivals := (ep, Bytes.to_string msg.payload) :: !arrivals;
            Dtu.ack (Pe.dtu hub) ~ep ~slot:msg.slot
          done));

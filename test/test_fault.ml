@@ -142,6 +142,47 @@ let test_no_recv_ep_refunds_credit () =
   check_int "refunded" 1 (Dtu.credits_refunded (Pe.dtu sender));
   check_int "full credit restored" 1 (credits_of (Pe.dtu sender) ~ep:2)
 
+(* With a plan that faults every transfer, a send retransmits until its
+   retry budget is spent, then gives up and refunds its credit exactly
+   once — whether the attempts were dropped in flight or arrived
+   corrupted and were NACKed by the checksum check. *)
+let always_faulted config =
+  let engine, platform = make_platform () in
+  let config = { config with Plan.max_retries = 3; retry_base = 16 } in
+  Fabric.set_faults (Platform.fabric platform) (Plan.create ~config ~seed:5 ());
+  let receiver = Platform.pe platform 0 and sender = Platform.pe platform 1 in
+  ok
+    (Dtu.config_local (Pe.dtu receiver) ~ep:1
+       (Endpoint.Receive { buf_addr = 0x100; slot_order = 8; slot_count = 4 }));
+  ok
+    (Dtu.config_local (Pe.dtu sender) ~ep:2
+       (Endpoint.Send
+          {
+            dst_pe = 0;
+            dst_ep = 1;
+            label = 1L;
+            msg_order = 8;
+            credits = Endpoint.Credits 2;
+          }));
+  ignore
+    (Pe.spawn sender ~name:"s" (fun () ->
+         ok (Dtu.send (Pe.dtu sender) ~ep:2 ~payload:(Bytes.of_string "x") ())));
+  ignore (Engine.run engine);
+  check_int "retransmitted up to the budget" 3 (Dtu.retransmits (Pe.dtu sender));
+  check_int "expired once" 1 (Dtu.msgs_expired (Pe.dtu sender));
+  check_int "refunded exactly once" 1 (Dtu.credits_refunded (Pe.dtu sender));
+  check_int "full credit restored" 2 (credits_of (Pe.dtu sender) ~ep:2);
+  check_int "nothing delivered" 0 (Dtu.msgs_received (Pe.dtu receiver));
+  Dtu.msgs_dropped (Pe.dtu receiver)
+
+let test_dropped_retransmits_and_refunds_once () =
+  check_int "no attempt reached the receiver" 0
+    (always_faulted { quiet_config with drop_prob = 1.0 })
+
+let test_corrupted_retransmits_and_refunds_once () =
+  check_int "receiver rejected every attempt" 4
+    (always_faulted { quiet_config with corrupt_prob = 1.0 })
+
 (* --- bugfix 2: waitq hygiene ----------------------------------------- *)
 
 let test_waitq_cancel_and_sweep () =
@@ -153,10 +194,12 @@ let test_waitq_cancel_and_sweep () =
   Process.Waitq.cancel a;
   check_int "cancelled entry not counted" 1 (Process.Waitq.waiters q);
   (* The cancelled entry must not absorb the wakeup. *)
-  check_bool "signal reaches the live entry" true (Process.Waitq.signal q 1);
+  Process.Waitq.broadcast q 1;
   Alcotest.(check (list (pair string int))) "only b fired" [ ("b", 1) ] !got;
   check_int "no stale registrations" 0 (Process.Waitq.waiters q);
-  check_bool "signal with nobody waiting" false (Process.Waitq.signal q 2)
+  Process.Waitq.broadcast q 2;
+  Alcotest.(check (list (pair string int)))
+    "broadcast with nobody waiting fires nothing" [ ("b", 1) ] !got
 
 let test_wait_any_leaves_no_stale_waiters () =
   let engine, platform = make_platform () in
@@ -180,7 +223,7 @@ let test_wait_any_leaves_no_stale_waiters () =
   let woke_ep = ref (-1) in
   ignore
     (Pe.spawn receiver ~name:"r" (fun () ->
-         let ep, msg = Dtu.wait_any (Pe.dtu receiver) ~eps:[ 1; 3 ] in
+         let ep, msg = Dtu.wait_any (Pe.dtu receiver) ~ep_of:Fun.id [ 1; 3 ] in
          woke_ep := ep;
          Dtu.ack (Pe.dtu receiver) ~ep ~slot:msg.slot));
   ignore
@@ -436,6 +479,10 @@ let suites =
           test_ringbuffer_full_refunds_credit;
         tc "oversize drop refunds credit" test_oversize_refunds_credit;
         tc "no-recv-EP drop refunds credit" test_no_recv_ep_refunds_credit;
+        tc "dropped attempts retransmit, refund once"
+          test_dropped_retransmits_and_refunds_once;
+        tc "corrupted attempts retransmit, refund once"
+          test_corrupted_retransmits_and_refunds_once;
       ] );
     ( "fault.waitq",
       [

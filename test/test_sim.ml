@@ -100,10 +100,12 @@ let test_engine_rejects_past () =
 (* --- allocation ceilings ---
 
    Once the queue has grown, scheduling and stepping allocate nothing
-   but the event's own closure, and a process resume adds only the
-   effect, its continuation and one scheduled closure. These ceilings
-   pin that: each loop runs [alloc_iterations] events in one [run], so
-   the run's fixed cost is noise. *)
+   but the event's own closure. A wait reuses its process's prebuilt
+   effect and resume event, so it costs only the continuation the
+   runtime captures and the option holding it; a park adds its queue
+   entry, the list cell and the woken value. These ceilings pin that:
+   each loop runs [alloc_iterations] events (or round trips) in one
+   [run], so the run's fixed cost is noise. *)
 
 let alloc_iterations = 10_000
 
@@ -136,7 +138,26 @@ let test_alloc_process_wait () =
           Process.wait 1
         done)
   in
-  check_ceiling "Process.wait 1" 32.0
+  check_ceiling "Process.wait 1" 8.0
+    (minor_words_per_event (fun () -> ignore (Engine.run e)))
+
+let test_alloc_park_broadcast () =
+  let e = Engine.create () in
+  let q = Process.Waitq.create () in
+  let _p =
+    Process.spawn e ~name:"parker" (fun () ->
+        for _ = 1 to alloc_iterations do
+          Process.Waitq.park q
+        done)
+  in
+  let left = ref alloc_iterations in
+  let rec kick () =
+    Process.Waitq.broadcast q ();
+    decr left;
+    if !left > 0 then Engine.schedule e ~delay:1 kick
+  in
+  Engine.schedule e ~delay:1 kick;
+  check_ceiling "park + broadcast round trip" 24.0
     (minor_words_per_event (fun () -> ignore (Engine.run e)))
 
 (* --- processes --- *)
@@ -208,19 +229,18 @@ let test_process_waitq_fifo () =
          (fun () ->
            Process.wait i;
            let v = Process.Waitq.park q in
-           woken := (i, v) :: !woken))
+           woken := (i, v, Engine.now e) :: !woken))
   done;
   ignore
-    (Process.spawn e ~name:"signaller" (fun () ->
+    (Process.spawn e ~name:"broadcaster" (fun () ->
          Process.wait 100;
          check_int "three waiters" 3 (Process.Waitq.waiters q);
-         ignore (Process.Waitq.signal q "first");
-         ignore (Process.Waitq.signal q "second");
-         Process.Waitq.broadcast q "rest"));
+         Process.Waitq.broadcast q "all";
+         check_int "queue emptied" 0 (Process.Waitq.waiters q)));
   ignore (Engine.run e);
-  Alcotest.(check (list (pair int string)))
+  Alcotest.(check (list (triple int string int)))
     "wakeup order is FIFO"
-    [ (1, "first"); (2, "second"); (3, "rest") ]
+    [ (1, "all", 100); (2, "all", 100); (3, "all", 100) ]
     (List.rev !woken)
 
 let test_process_kill () =
@@ -247,9 +267,32 @@ let test_process_kill_while_parked () =
          Process.wait 5;
          Process.kill p;
          (* The kill takes effect when the process next resumes. *)
-         ignore (Process.Waitq.signal q ())));
+         Process.Waitq.broadcast q ()));
   ignore (Engine.run e);
   check_bool "killed cleanly" true (Process.status p = Process.Finished)
+
+(* The process record keeps a continuation only until its resume event
+   runs: a value live only across a finished wait is collectable while
+   the process sits parked at its next one. *)
+let hold_across_wait w =
+  let x = Bytes.make 64 'x' in
+  Weak.set w 0 (Some x);
+  Process.wait 1;
+  ignore (Sys.opaque_identity x)
+
+let test_resumed_continuation_not_pinned () =
+  let e = Engine.create () in
+  let q = Process.Waitq.create () and w = Weak.create 1 in
+  let p =
+    Process.spawn e ~name:"p" (fun () ->
+        hold_across_wait w;
+        Process.Waitq.park q)
+  in
+  ignore (Engine.run e);
+  check_int "parked at the next wait" 1 (Process.Waitq.waiters q);
+  Gc.full_major ();
+  check_bool "finished wait's frame collected" true (Weak.get w 0 = None);
+  check_bool "process still running" true (Process.status p = Process.Running)
 
 let test_two_processes_interleave () =
   let e = Engine.create () in
@@ -426,7 +469,9 @@ let suites =
     ( "sim.alloc",
       [
         tc "schedule + step allocates at most 8 words" test_alloc_schedule_step;
-        tc "a wait step allocates at most 32 words" test_alloc_process_wait;
+        tc "a wait step allocates at most 8 words" test_alloc_process_wait;
+        tc "park + broadcast allocates at most 24 words"
+          test_alloc_park_broadcast;
       ] );
     ( "sim.process",
       [
@@ -437,6 +482,8 @@ let suites =
         tc "waitq wakes FIFO" test_process_waitq_fifo;
         tc "kill takes effect at next wait" test_process_kill;
         tc "kill while parked" test_process_kill_while_parked;
+        tc "a resumed continuation is not pinned"
+          test_resumed_continuation_not_pinned;
         tc "two processes interleave deterministically"
           test_two_processes_interleave;
         QCheck_alcotest.to_alcotest qcheck_alloc_roundtrip;
